@@ -101,7 +101,7 @@ func (c Config) Optics() optics.Config {
 	return oc
 }
 
-// Process builds (or fetches the cached) lithography process.
+// Process builds the lithography process at this scale.
 func (c Config) Process() (*litho.Process, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

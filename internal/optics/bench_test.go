@@ -1,47 +1,50 @@
-package optics
+package optics_test
 
-import "testing"
+import (
+	"testing"
 
-func BenchmarkBuildTCC(b *testing.B) {
-	c := TestScale()
-	c.SourceGrid = 7
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tcc := BuildTCC(c, 0); tcc.Dim == 0 {
-			b.Fatal("empty TCC")
-		}
+	"repro/internal/experiments"
+	"repro/internal/optics"
+)
+
+func BenchmarkBuildModel(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		c    optics.Config
+	}{
+		{"TestScale", optics.TestScale()},
+		{"BenchScale", experiments.BenchScale().Optics()},
+		{"Default", optics.Default()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := optics.BuildModel(tc.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkKernelSetBuild(b *testing.B) {
-	c := TestScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := buildKernelSet(c, 0); err != nil {
-			b.Fatal(err)
-		}
+// TestBuildModelAllocBudget keeps a dense P²×P² TCC (24 MB at paper scale)
+// out of the build: the factored solve allocates a few MiB.
+func TestBuildModelAllocBudget(t *testing.T) {
+	const budget = 8 << 20
+	if _, err := optics.BuildModel(optics.Default()); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func BenchmarkHermitianEigen32(b *testing.B) {
-	const n = 32
-	c := TestScale()
-	c.SourceGrid = 5
-	tcc := BuildTCC(c, 0)
-	// Use a fixed 32×32 Hermitian block sampled from the TCC.
-	base := make([]complex128, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			base[i*n+j] = tcc.Data[i*tcc.Dim+j]
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := optics.BuildModel(optics.Default()); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark did not run")
 	}
-	work := make([]complex128, n*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, base)
-		if _, _, err := HermitianEigen(n, work); err != nil {
-			b.Fatal(err)
-		}
+	if got := r.AllocedBytesPerOp(); got >= budget {
+		t.Errorf("BuildModel(Default()) allocates %d B/op, budget %d", got, budget)
 	}
 }

@@ -2,11 +2,29 @@
 // that drive the Hopkins forward lithography model. The ICCAD 2013 contest
 // shipped these kernels as opaque data files; here they are rebuilt from
 // first principles: a partially coherent annular source is discretised, a
-// defocus-capable pupil is sampled on the simulation frequency grid, the
-// Hopkins transmission cross coefficient (TCC) matrix is assembled, and its
-// dominant eigenpairs — extracted by subspace iteration with a Hermitian
-// Jacobi Rayleigh–Ritz step — become the kernels H_k and weights w_k of
-// Eq. (2)/(3) in the paper.
+// defocus-capable pupil is sampled on the simulation frequency grid, and the
+// dominant eigenpairs of the Hopkins transmission cross coefficient (TCC)
+// become the kernels H_k and weights w_k of Eq. (2)/(3) in the paper.
+//
+// The TCC is factored, never formed: T = A·Aᴴ, where column s of A is the
+// pupil shifted by source point s and scaled by √J_s, so T has rank at most
+// S, the number of source points (44 for the paper's annular source). Its
+// nonzero eigenpairs follow exactly from the S×S Gram Aᴴ·A, diagonalised by
+// the Hermitian Jacobi solver, and each kernel is lifted back as
+// h_k = A·u_k/√λ_k. Gram eigenvalues at or below 1e-12·λ_0 are numerical
+// null space (source points that round to the same frequency-grid offset
+// give identical columns, so at a 512 nm field only 32 of the 44 are
+// nonzero) and are dropped, so a kernel set may hold fewer than NumKernels
+// kernels.
+//
+// Truncation rule: NumKernels is kept as requested even when it splits a
+// degenerate multiplet of the source's C4 symmetry. Any basis of a
+// multiplet is an equally valid eigenbasis, so a split keeps an arbitrary
+// member; it is still deterministic, through the Jacobi solver's fixed
+// rotation order and the phase canonicalisation of each kernel. The
+// shipped configurations (512 nm/K=8, 1024 nm/K=12, 2048 nm/K=24) split no
+// multiplet; at 2048 nm the splitting counts are K ∈ {2, 6, 10, 14, 19, 23,
+// …}, and examples/kernelgen's 512 nm/K=12 splits one.
 package optics
 
 import (
@@ -16,7 +34,7 @@ import (
 
 // Config describes one optical column and simulation grid. The zero value is
 // not usable; call Default first and override fields as needed. Config is
-// comparable and doubles as the kernel-cache key.
+// comparable and doubles as the server's kernel-cache key.
 type Config struct {
 	// FieldNM is the physical side length of the simulated tile in nm.
 	// The ICCAD 2013 benchmarks use 2048 nm (2048 px at 1 nm/px). The

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
-	"sync"
 
 	"repro/internal/grid"
 )
@@ -30,17 +28,13 @@ type Model struct {
 	Defocus *KernelSet
 }
 
-var modelCache sync.Map // Config → *Model
-
-// BuildModel constructs (or returns a cached copy of) the kernel model for
-// the configuration. Building is expensive at paper scale (a 1225-dim TCC
-// eigenproblem), so results are cached per Config for the process lifetime.
+// BuildModel constructs the kernel model for the configuration. Both kernel
+// sets come from an S×S eigenproblem on the factored TCC (S = number of
+// source points, 44 at paper scale), so a build takes milliseconds and is
+// not cached here; the serving daemon shares models across jobs itself.
 func BuildModel(c Config) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
-	}
-	if v, ok := modelCache.Load(c); ok {
-		return v.(*Model), nil
 	}
 	nom, err := buildKernelSet(c, 0)
 	if err != nil {
@@ -50,154 +44,73 @@ func BuildModel(c Config) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("optics: defocus kernels: %w", err)
 	}
-	m := &Model{Config: c, Nominal: nom, Defocus: def}
-	if v, loaded := modelCache.LoadOrStore(c, m); loaded {
-		return v.(*Model), nil
-	}
-	return m, nil
+	return &Model{Config: c, Nominal: nom, Defocus: def}, nil
 }
 
-// buildKernelSet assembles the TCC at the given defocus and extracts its
-// dominant eigenpairs by subspace iteration with a Rayleigh–Ritz step.
+// buildKernelSet factors the TCC at the given defocus and turns its
+// dominant eigenpairs into a normalised kernel set.
 func buildKernelSet(c Config, defocusNM float64) (*KernelSet, error) {
-	t := BuildTCC(c, defocusNM)
-	nk := c.NumKernels
-	if nk > t.Dim {
-		nk = t.Dim
-	}
-	vals, vecs, err := topEigenpairs(t, nk)
+	p, a := tccFactor(c, defocusNM)
+	vals, vecs, _, err := eigenpairs(a, c.NumKernels)
 	if err != nil {
 		return nil, err
 	}
-	ks := &KernelSet{P: t.P}
-	for k := 0; k < nk; k++ {
-		if vals[k] <= 0 {
-			break // trailing numerical noise; the TCC is PSD
-		}
-		h := grid.NewCMat(t.P, t.P)
-		copy(h.Data, vecs[k])
+	ks := &KernelSet{P: p, Weights: vals}
+	for _, v := range vecs {
+		h := &grid.CMat{W: p, H: p, Data: v}
 		canonicalizePhase(h)
 		ks.Kernels = append(ks.Kernels, h)
-		ks.Weights = append(ks.Weights, vals[k])
-	}
-	if len(ks.Kernels) == 0 {
-		return nil, fmt.Errorf("optics: TCC has no positive eigenvalues (P=%d)", t.P)
 	}
 	ks.normalizeOpenFrame()
 	return ks, nil
 }
 
-// topEigenpairs runs blocked subspace iteration on the TCC and returns the
-// nk largest eigenpairs; vecs[k] is the k-th eigenvector (length Dim).
-func topEigenpairs(t *TCC, nk int) (vals []float64, vecs [][]complex128, err error) {
-	dim := t.Dim
-	block := nk + 8
-	if block > dim {
-		block = dim
-	}
-	// Deterministic random start: kernel generation must be reproducible.
-	rng := rand.New(rand.NewSource(20130913)) // ICCAD 2013 contest date
-	q := make([][]complex128, block)
-	z := make([][]complex128, block)
-	for k := range q {
-		q[k] = make([]complex128, dim)
-		z[k] = make([]complex128, dim)
-		for i := range q[k] {
-			q[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-	}
-	orthonormalize(q)
+// rankCutoff is the relative eigenvalue below which a Gram eigenpair counts
+// as numerical null space: lifting it would divide rounding noise by √λ.
+const rankCutoff = 1e-12
 
-	const iters = 40
-	prev := make([]float64, nk)
-	for it := 0; it < iters; it++ {
-		t.MatVecBlock(z, q)
-		q, z = z, q
-		orthonormalize(q)
-		if it%5 == 4 || it == iters-1 {
-			// Cheap convergence probe on the Rayleigh quotients.
-			cur := make([]float64, nk)
-			t.MatVecBlock(z, q)
-			for k := 0; k < nk; k++ {
-				cur[k] = realDot(q[k], z[k])
-			}
-			maxRel := 0.0
-			for k := range cur {
-				d := math.Abs(cur[k] - prev[k])
-				if r := d / (math.Abs(cur[k]) + 1e-30); r > maxRel {
-					maxRel = r
-				}
-			}
-			copy(prev, cur)
-			if maxRel < 1e-10 && it > 5 {
-				break
-			}
+// eigenpairs returns up to nk dominant eigenpairs of T = A·Aᴴ, where a[s] is
+// column s of A, together with tr T. It diagonalises the S×S Gram
+// G = Aᴴ·A instead of T: if G·u = λ·u then T·(A·u) = λ·(A·u) and
+// ‖A·u‖² = λ, so h = A·u/√λ is a unit eigenvector of T with the same
+// eigenvalue, and tr T = tr G. Eigenpairs with λ ≤ rankCutoff·λ_0 are
+// dropped, so fewer than nk may come back.
+func eigenpairs(a [][]complex128, nk int) (vals []float64, vecs [][]complex128, trace float64, err error) {
+	s := len(a)
+	g := make([]complex128, s*s)
+	for i := 0; i < s; i++ {
+		n2 := real(cdot(a[i], a[i]))
+		g[i*s+i] = complex(n2, 0)
+		trace += n2
+		for j := i + 1; j < s; j++ {
+			v := cdot(a[i], a[j])
+			g[i*s+j] = v
+			g[j*s+i] = complex(real(v), -imag(v))
 		}
 	}
-
-	// Rayleigh–Ritz: B = Qᴴ T Q, eigendecompose the small block, rotate Q.
-	t.MatVecBlock(z, q)
-	b := make([]complex128, block*block)
-	for i := 0; i < block; i++ {
-		for j := 0; j < block; j++ {
-			b[i*block+j] = cdot(q[i], z[j])
-		}
-	}
-	bvals, bvecs, err := HermitianEigen(block, b)
+	gvals, u, err := HermitianEigen(s, g)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	vals = bvals[:nk]
-	vecs = make([][]complex128, nk)
-	for k := 0; k < nk; k++ {
-		v := make([]complex128, dim)
-		for bi := 0; bi < block; bi++ {
-			c := bvecs[bi*block+k]
-			if c == 0 {
-				continue
-			}
-			qv := q[bi]
-			for i := range v {
-				v[i] += c * qv[i]
+	if gvals[0] <= 0 {
+		return nil, nil, 0, fmt.Errorf("optics: TCC has no positive eigenvalues")
+	}
+	if nk > s {
+		nk = s
+	}
+	for k := 0; k < nk && gvals[k] > rankCutoff*gvals[0]; k++ {
+		h := make([]complex128, len(a[0]))
+		inv := 1 / math.Sqrt(gvals[k])
+		for j, col := range a {
+			c := u[j*s+k] * complex(inv, 0)
+			for i, v := range col {
+				h[i] += c * v
 			}
 		}
-		vecs[k] = v
+		vals = append(vals, gvals[k])
+		vecs = append(vecs, h)
 	}
-	return vals, vecs, nil
-}
-
-// orthonormalize applies modified Gram–Schmidt to the block in place.
-// Vectors that collapse to (numerical) zero are re-randomised against a
-// fixed stream to keep the block full-rank.
-func orthonormalize(q [][]complex128) {
-	rng := rand.New(rand.NewSource(987654321))
-	for k := range q {
-		for attempt := 0; ; attempt++ {
-			for j := 0; j < k; j++ {
-				proj := cdot(q[j], q[k])
-				if proj == 0 {
-					continue
-				}
-				for i := range q[k] {
-					q[k][i] -= proj * q[j][i]
-				}
-			}
-			n := math.Sqrt(realDot(q[k], q[k]))
-			if n > 1e-12 {
-				inv := complex(1/n, 0)
-				for i := range q[k] {
-					q[k][i] *= inv
-				}
-				break
-			}
-			if attempt > 3 {
-				panic("optics: orthonormalize could not recover a degenerate block vector")
-			}
-			for i := range q[k] {
-				q[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-		}
-	}
+	return vals, vecs, trace, nil
 }
 
 // cdot returns ⟨a, b⟩ = Σ conj(a_i)·b_i.
@@ -205,15 +118,6 @@ func cdot(a, b []complex128) complex128 {
 	var s complex128
 	for i, v := range a {
 		s += complex(real(v), -imag(v)) * b[i]
-	}
-	return s
-}
-
-// realDot returns Re⟨a, b⟩.
-func realDot(a, b []complex128) float64 {
-	var s float64
-	for i, v := range a {
-		s += real(v)*real(b[i]) + imag(v)*imag(b[i])
 	}
 	return s
 }
@@ -261,27 +165,21 @@ func (ks *KernelSet) normalizeOpenFrame() {
 	}
 }
 
-// EnergyCapture returns the fraction of the TCC trace captured by the
-// retained kernels — a quality measure of the truncated SOCS expansion.
-// It must be computed before weight normalisation, so BuildTCC is re-run;
-// intended for diagnostics (examples/kernelgen), not hot paths.
+// EnergyCapture returns the sum of the retained kernels' eigenvalues and
+// the TCC trace — their ratio is the quality of the truncated SOCS
+// expansion. Both are taken before weight normalisation, so the factor is
+// rebuilt; intended for diagnostics (examples/kernelgen), not hot paths.
 func EnergyCapture(c Config, defocusNM float64) (captured, trace float64, err error) {
 	if err := c.Validate(); err != nil {
 		return 0, 0, err
 	}
-	t := BuildTCC(c, defocusNM)
-	nk := c.NumKernels
-	if nk > t.Dim {
-		nk = t.Dim
-	}
-	vals, _, err := topEigenpairs(t, nk)
+	_, a := tccFactor(c, defocusNM)
+	vals, _, trace, err := eigenpairs(a, c.NumKernels)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, v := range vals {
-		if v > 0 {
-			captured += v
-		}
+		captured += v
 	}
-	return captured, t.Trace(), nil
+	return captured, trace, nil
 }

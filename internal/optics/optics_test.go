@@ -1,6 +1,7 @@
 package optics
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -159,21 +160,6 @@ func TestBuildModelKernels(t *testing.T) {
 	}
 }
 
-func TestBuildModelCached(t *testing.T) {
-	c := TestScale()
-	m1, err := BuildModel(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := BuildModel(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Error("BuildModel did not return the cached model")
-	}
-}
-
 func TestBuildModelRejectsInvalid(t *testing.T) {
 	c := TestScale()
 	c.NA = -1
@@ -182,38 +168,104 @@ func TestBuildModelRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestKernelEigenResidual checks the factored eigenpairs against the dense
+// TCC over every retained kernel: eigen-residual, reconstruction of T,
+// orthonormality and the trace.
 func TestKernelEigenResidual(t *testing.T) {
-	// The extracted eigenpairs must satisfy T·v ≈ λ·v on the raw TCC.
-	c := TestScale()
-	c.NumKernels = 4
-	c.SourceGrid = 5
-	tcc := BuildTCC(c, 0)
-	vals, vecs, err := topEigenpairs(tcc, 4)
+	for _, shape := range []SourceShape{Annular, Circular, Quasar} {
+		for _, field := range []float64{512, 1024, 2048} {
+			c := Default()
+			c.Shape = shape
+			c.FieldNM = field
+			for _, defocus := range []float64{0, c.DefocusNM} {
+				t.Run(fmt.Sprintf("%v/%gnm/defocus=%g", shape, field, defocus), func(t *testing.T) {
+					t.Parallel()
+					checkFactoredEigen(t, c, defocus)
+				})
+			}
+		}
+	}
+}
+
+func checkFactoredEigen(t *testing.T, c Config, defocus float64) {
+	_, a := tccFactor(c, defocus)
+	vals, vecs, trace, err := eigenpairs(a, len(a))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tcc := BuildTCC(c, defocus)
 	dim := tcc.Dim
-	for k := 0; k < 4; k++ {
-		av := make([][]complex128, 1)
-		av[0] = make([]complex128, dim)
-		tcc.MatVecBlock(av, [][]complex128{vecs[k]})
-		var res, norm float64
-		for i := 0; i < dim; i++ {
-			d := av[0][i] - complex(vals[k], 0)*vecs[k][i]
+
+	// ‖T·h_k − λ_k·h_k‖ ≤ 1e-12·λ_0.
+	th := make([][]complex128, len(vecs))
+	for k := range th {
+		th[k] = make([]complex128, dim)
+	}
+	tcc.MatVecBlock(th, vecs)
+	for k, h := range vecs {
+		var res float64
+		for i := range h {
+			d := th[k][i] - complex(vals[k], 0)*h[i]
 			res += real(d)*real(d) + imag(d)*imag(d)
-			norm += real(vecs[k][i])*real(vecs[k][i]) + imag(vecs[k][i])*imag(vecs[k][i])
 		}
-		if math.Sqrt(res) > 1e-6*math.Sqrt(norm)*math.Max(vals[0], 1) {
-			t.Errorf("eigenpair %d residual %g too large (λ=%g)", k, math.Sqrt(res), vals[k])
+		if r := math.Sqrt(res); r > 1e-12*vals[0] {
+			t.Errorf("eigenpair %d residual %g > 1e-12·λ_0 (λ=%g)", k, r, vals[k])
 		}
 	}
-	// Eigenvalue sum bounded by trace.
+
+	// Σ_k λ_k·h_k·h_kᴴ reconstructs T to 1e-12 relative Frobenius. The
+	// difference is formed in place, so the dense trace is read first.
+	dense := tcc.Trace()
+	var diff, norm float64
+	for _, v := range tcc.Data {
+		norm += real(v)*real(v) + imag(v)*imag(v)
+	}
+	for k, h := range vecs {
+		for i, hi := range h {
+			c := complex(vals[k], 0) * hi
+			row := tcc.Data[i*dim : (i+1)*dim]
+			for j, hj := range h {
+				row[j] -= c * complex(real(hj), -imag(hj))
+			}
+		}
+	}
+	for _, d := range tcc.Data {
+		diff += real(d)*real(d) + imag(d)*imag(d)
+	}
+	if rel := math.Sqrt(diff / norm); rel > 1e-12 {
+		t.Errorf("SOCS reconstruction of T off by %g relative (%d kernels)", rel, len(vecs))
+	}
+
+	// Orthonormal kernels.
+	for j := range vecs {
+		for k := j; k < len(vecs); k++ {
+			want := complex(0, 0)
+			if j == k {
+				want = 1
+			}
+			if d := cmplx.Abs(cdot(vecs[j], vecs[k]) - want); d > 1e-10 {
+				t.Errorf("⟨h_%d, h_%d⟩ off by %g", j, k, d)
+			}
+		}
+	}
+
+	// The factor's trace is the dense trace, and EnergyCapture reports it.
+	if math.Abs(trace-dense) > 1e-12*dense {
+		t.Errorf("factor trace %g, dense trace %g", trace, dense)
+	}
+	_, ecTrace, err := EnergyCapture(c, defocus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ecTrace-dense) > 1e-12*dense {
+		t.Errorf("EnergyCapture trace %g, dense trace %g", ecTrace, dense)
+	}
 	var sum float64
 	for _, v := range vals {
 		sum += v
 	}
-	if sum > tcc.Trace()+1e-9 {
-		t.Errorf("Σλ %g exceeds trace %g", sum, tcc.Trace())
+	if sum > dense*(1+1e-12) {
+		t.Errorf("Σλ %g exceeds trace %g", sum, dense)
 	}
 }
 
@@ -239,22 +291,32 @@ func TestEnergyCapture(t *testing.T) {
 }
 
 func TestCanonicalPhaseDeterminism(t *testing.T) {
-	c := TestScale()
-	m, err := BuildModel(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild bypassing the cache; kernels must match exactly.
-	ks, err := buildKernelSet(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ks.Kernels) != len(m.Nominal.Kernels) {
-		t.Fatalf("kernel count changed between builds: %d vs %d", len(ks.Kernels), len(m.Nominal.Kernels))
-	}
-	for k := range ks.Kernels {
-		if d := ks.Kernels[k].MaxAbsDiff(m.Nominal.Kernels[k]); d > 1e-12 {
-			t.Errorf("kernel %d differs between identical builds by %g", k, d)
+	// examples/kernelgen's K=12 at 512 nm splits a degenerate pair; the
+	// kept member must still be the same on every build.
+	split := TestScale()
+	split.NumKernels = 12
+	for _, c := range []Config{TestScale(), split} {
+		m1, err := BuildModel(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := BuildModel(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]*KernelSet{{m1.Nominal, m2.Nominal}, {m1.Defocus, m2.Defocus}} {
+			a, b := pair[0], pair[1]
+			if len(a.Kernels) != len(b.Kernels) {
+				t.Fatalf("kernel count changed between builds: %d vs %d", len(a.Kernels), len(b.Kernels))
+			}
+			for k := range a.Kernels {
+				if d := a.Kernels[k].MaxAbsDiff(b.Kernels[k]); d > 0 {
+					t.Errorf("K=%d: kernel %d differs between identical builds by %g", c.NumKernels, k, d)
+				}
+				if math.Float64bits(a.Weights[k]) != math.Float64bits(b.Weights[k]) {
+					t.Errorf("K=%d: weight %d differs between identical builds", c.NumKernels, k)
+				}
+			}
 		}
 	}
 }
@@ -345,4 +407,53 @@ func TestShapeChangesKernels(t *testing.T) {
 	if ma.Nominal.Kernels[0].MaxAbsDiff(md.Nominal.Kernels[0]) < 1e-9 {
 		t.Error("dipole kernels identical to annular")
 	}
+}
+
+// TCC is the dense P²×P² TCC matrix, the oracle the factored eigensolver is
+// checked against. Data is row-major Dim×Dim, Hermitian.
+type TCC struct {
+	P, Dim int
+	Data   []complex128
+}
+
+// BuildTCC assembles the dense TCC T = Σ_s a_s·a_sᴴ from the factor columns.
+func BuildTCC(c Config, defocusNM float64) *TCC {
+	p, a := tccFactor(c, defocusNM)
+	dim := p * p
+	t := &TCC{P: p, Dim: dim, Data: make([]complex128, dim*dim)}
+	for _, v := range a {
+		for i, vi := range v {
+			if vi == 0 {
+				continue
+			}
+			row := t.Data[i*dim : (i+1)*dim]
+			for j, vj := range v {
+				row[j] += vi * cmplx.Conj(vj)
+			}
+		}
+	}
+	return t
+}
+
+// MatVecBlock computes dst[k] = T·src[k] for each vector of the block.
+func (t *TCC) MatVecBlock(dst, src [][]complex128) {
+	for i := 0; i < t.Dim; i++ {
+		row := t.Data[i*t.Dim : (i+1)*t.Dim]
+		for k, s := range src {
+			var acc complex128
+			for j, r := range row {
+				acc += r * s[j]
+			}
+			dst[k][i] = acc
+		}
+	}
+}
+
+// Trace returns the real trace of T.
+func (t *TCC) Trace() float64 {
+	var tr float64
+	for i := 0; i < t.Dim; i++ {
+		tr += real(t.Data[i*t.Dim+i])
+	}
+	return tr
 }

@@ -1,31 +1,23 @@
 package optics
 
-import (
-	"math"
+import "math"
 
-	"repro/internal/grid"
-)
-
-// TCC is the Hopkins transmission cross coefficient matrix restricted to the
-// P×P kernel support, flattened to a dim = P² Hermitian matrix:
+// The Hopkins transmission cross coefficient restricted to the P×P kernel
+// support is the dim = P² Hermitian matrix
 //
 //	T[i][j] = Σ_s J_s · P(f_i + f_s) · conj(P(f_j + f_s)),
 //
 // with i, j indexing signed frequencies (fx, fy) ∈ [−h, h]² row-major as
-// (fy+h)·P + (fx+h). The eigenpairs of T are the SOCS kernels/weights.
-type TCC struct {
-	P   int
-	Dim int
-	// Data is row-major Dim×Dim, Hermitian.
-	Data []complex128
-}
+// (fy+h)·P + (fx+h). With a_s = √J_s · P(· + f_s) it factors as T = A·Aᴴ,
+// A = [a_1 … a_S], so its rank is at most S, the number of source points.
+// T is never formed: the SOCS kernels come from the S×S Gram Aᴴ·A (see
+// eigenpairs), and tests assemble the dense T from this factor as an oracle.
 
-// BuildTCC assembles the TCC matrix for the configuration at the given
-// defocus. The assembly is parallelised over matrix rows.
-func BuildTCC(c Config, defocusNM float64) *TCC {
+// tccFactor returns the kernel support P and the factor columns a_s (each
+// of length P²) of the TCC at the given defocus.
+func tccFactor(c Config, defocusNM float64) (p int, a [][]complex128) {
 	h := c.kernelHalf()
-	p := 2*h + 1
-	dim := p * p
+	p = 2*h + 1
 	src := DiscretizeSource(c)
 
 	maxSrcF := 0.0
@@ -36,72 +28,16 @@ func BuildTCC(c Config, defocusNM float64) *TCC {
 	}
 	pt := buildPupilTable(c, defocusNM, maxSrcF)
 
-	// Precompute per-source pupil vectors over the kernel support.
-	vecs := make([][]complex128, len(src))
-	weights := make([]float64, len(src))
+	a = make([][]complex128, len(src))
 	for si, s := range src {
-		v := make([]complex128, dim)
+		v := make([]complex128, p*p)
+		sw := complex(math.Sqrt(s.Weight), 0)
 		for fy := -h; fy <= h; fy++ {
 			for fx := -h; fx <= h; fx++ {
-				v[(fy+h)*p+fx+h] = pt.at(fx, fy, s.FX, s.FY)
+				v[(fy+h)*p+fx+h] = sw * pt.at(fx, fy, s.FX, s.FY)
 			}
 		}
-		vecs[si] = v
-		weights[si] = s.Weight
+		a[si] = v
 	}
-
-	t := &TCC{P: p, Dim: dim, Data: make([]complex128, dim*dim)}
-	// T = Σ_s w_s v_s v_sᴴ; fill the upper triangle row-parallel, mirror after.
-	grid.ParallelFor(0, dim, func(i int) {
-		row := t.Data[i*dim : (i+1)*dim]
-		for si, v := range vecs {
-			vi := v[i]
-			if vi == 0 {
-				continue
-			}
-			w := complex(weights[si], 0)
-			wvi := w * vi
-			for j := i; j < dim; j++ {
-				vj := v[j]
-				row[j] += wvi * complex(real(vj), -imag(vj))
-			}
-		}
-	})
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			v := t.Data[i*dim+j]
-			t.Data[j*dim+i] = complex(real(v), -imag(v))
-		}
-	}
-	return t
-}
-
-// MatVecBlock computes dst = T·src for a block of column vectors stored as
-// src[k][i] (k = vector index, i = component). dst must have the same shape.
-// The product is parallelised over matrix rows.
-func (t *TCC) MatVecBlock(dst, src [][]complex128) {
-	dim := t.Dim
-	grid.ParallelFor(0, dim, func(i int) {
-		row := t.Data[i*dim : (i+1)*dim]
-		for k := range src {
-			var acc complex128
-			s := src[k]
-			for j, r := range row {
-				if r != 0 {
-					acc += r * s[j]
-				}
-			}
-			dst[k][i] = acc
-		}
-	})
-}
-
-// Trace returns the (real) trace of the TCC, which equals the total captured
-// source energy and bounds the sum of all eigenvalues.
-func (t *TCC) Trace() float64 {
-	var tr float64
-	for i := 0; i < t.Dim; i++ {
-		tr += real(t.Data[i*t.Dim+i])
-	}
-	return tr
+	return p, a
 }

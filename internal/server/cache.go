@@ -8,8 +8,8 @@ import (
 
 // modelCache is a singleflight cache of SOCS kernel models keyed by the
 // (comparable) optics configuration. Building a model — source
-// discretisation, TCC assembly, eigendecomposition — is by far the most
-// expensive per-process setup step; jobs sharing process parameters share
+// discretisation, factored-TCC eigendecomposition — takes tens of
+// milliseconds at paper scale; jobs sharing process parameters still share
 // one build, and concurrent first requests block on a single construction
 // instead of racing duplicate ones. Models are immutable after
 // construction, so handing one *optics.Model to many concurrent jobs is
