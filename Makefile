@@ -13,7 +13,8 @@ test:
 
 # Tier-1 concurrency lane: the full suite under the race detector. The
 # parallel SOCS loops, the plan cache, the fullchip tile pool and the
-# FFT-engine equivalence tests (band-pruned vs dense reference, tolerance 0)
+# FFT-engine equivalence tests (batch vs a dense oracle on the same
+# spectrum at tolerance 0, batch vs the dense reference engine to rounding)
 # all run here — new equivalence tests hook in by living in the suite.
 race:
 	$(GO) test -race ./...
@@ -21,9 +22,10 @@ race:
 # Observability lane (runs alongside race): a small end-to-end iltopt run
 # with tracing on, then tracecheck re-validates the JSONL schema, the
 # phase-timer wall-clock coverage and the run manifest.
-# -workers 1 keeps the run on the serial SOCS lane, where the alternating
-# litho.socs / litho.fft_inverse spans are recorded — so the validated trace
-# exercises the full phase vocabulary on any host.
+# The default batch engine records litho.socs around its row pass and
+# litho.fft_inverse around its column pass at any worker count, so the
+# validated trace exercises the full phase vocabulary on any host;
+# -workers 1 just keeps the small run single-threaded.
 trace-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
@@ -139,16 +141,16 @@ bench-workers:
 		-workers 1,2,4,8 -json BENCH_WORKERS.json
 
 # FFT-engine sweep: times the exact forward simulation per FFT engine
-# (dense reference / pruned inverses / pruned + packed forward / fused
-# batch) at workers=1 and records the speedups in BENCH_FFT.json plus a
-# benchstat-format sidecar BENCH_FFT.txt.
+# (dense reference / fused batch) at workers=1 and records the batch
+# speedup in BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
 bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
 
-# CI smoke lane: a seconds-long sweep at tiny sizes that exercises every
-# engine (including the fused batch path) and gates against the committed
-# BENCH_FFT.smoke.json baseline via the bench-compare machinery. The 75%
+# CI smoke lane: a seconds-long sweep at tiny sizes that exercises both
+# engines (reference and the fused batch path) and gates against the
+# committed BENCH_FFT.smoke.json baseline via the bench-compare machinery;
+# the gate fails if no (size, engine) pair was compared. The 75%
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a
 # 2-10× slowdown), not single-digit drift.

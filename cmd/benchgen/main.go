@@ -6,7 +6,7 @@
 //	benchgen -suite ext -out testdata/ext     # cases 11-20
 //	benchgen -suite via -count 15 -out testdata/via
 //	benchgen -sweep -json BENCH_WORKERS.json  # parallel-SOCS speedup curve
-//	benchgen -fftsweep -json BENCH_FFT.json   # FFT-engine (band pruning) sweep
+//	benchgen -fftsweep -json BENCH_FFT.json   # FFT-engine sweep (batch vs dense reference)
 //	benchgen -compare -old BENCH_FFT.json -new BENCH_FFT.new.json
 package main
 
@@ -42,7 +42,7 @@ func run() error {
 	sweepWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts (with -sweep)")
 	sweepReps := flag.Int("reps", 3, "timed repetitions per sweep point (with -sweep / -fftsweep)")
 	kernels := flag.Int("kernels", 24, "number of SOCS kernels (with -sweep / -fftsweep)")
-	fftsweep := flag.Bool("fftsweep", false, "run the FFT-engine sweep (band pruning vs dense reference)")
+	fftsweep := flag.Bool("fftsweep", false, "run the FFT-engine sweep (batch engine vs dense reference)")
 	fftSizes := flag.String("sizes", "256,512,1024", "comma-separated grid sizes (with -fftsweep)")
 	compare := flag.Bool("compare", false, "diff two FFT-sweep JSON reports")
 	oldPath := flag.String("old", "BENCH_FFT.json", "baseline report (with -compare)")
@@ -88,8 +88,8 @@ func run() error {
 			return err
 		}
 		for _, p := range s.Points {
-			fmt.Printf("m=%-5d reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)\n",
-				p.M, p.ReferenceSec, p.BandInverseSec, p.BandInverseGain, p.BandSec, p.BandGain, p.BatchedSec, p.BatchedGain)
+			fmt.Printf("m=%-5d reference %8.4fs  batch %8.4fs (%.2fx)\n",
+				p.M, p.ReferenceSec, p.BatchedSec, p.BatchedGain)
 		}
 		fmt.Printf("→ %s + %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, txt, s.Kernels, s.P, s.Workers)
 		return nil

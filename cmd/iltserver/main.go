@@ -80,7 +80,7 @@ func run() error {
 		_ = srv.Close() // nothing accepted yet; no drain result to lose
 		return err
 	}
-	hsrv := &http.Server{Handler: srv}
+	hsrv := newHTTPServer(srv)
 	go hsrv.Serve(ln)
 	fmt.Printf("iltserver listening on http://%s\n", ln.Addr())
 
@@ -103,6 +103,24 @@ func run() error {
 	return nil
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers: a client that never finishes them (slowloris) is disconnected
+// instead of holding a connection forever. A variable only so tests can
+// shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests.
+const idleTimeout = 2 * time.Minute
+
+// newHTTPServer wraps h in the daemon's HTTP server. There is deliberately
+// no WriteTimeout (or ReadTimeout): the SSE event streams must outlive any
+// fixed per-request deadline, and once the headers are read net/http lifts
+// the header deadline.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // runSmoke exercises the full serving loop over real HTTP on an ephemeral
 // port: healthz, one small end-to-end job streamed to completion via SSE,
 // a result check, metrics, and a clean drain. It is the `make
@@ -113,7 +131,7 @@ func runSmoke(srv *server.Server) error {
 		_ = srv.Close() // nothing accepted yet; no drain result to lose
 		return err
 	}
-	hsrv := &http.Server{Handler: srv}
+	hsrv := newHTTPServer(srv)
 	go hsrv.Serve(ln)
 	defer hsrv.Close()
 	base := "http://" + ln.Addr().String()

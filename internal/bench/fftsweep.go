@@ -14,23 +14,20 @@ import (
 )
 
 // FFT-engine sweep: the repo-level BENCH_FFT.json artifact tracks the
-// band-pruning speedup of the forward simulation across PRs. For each grid
-// size the sweep times one exact forward simulation (Eq. 3) per FFT engine
-// at a fixed worker count of 1 — the single-threaded column is what the
-// pruning claim is about, and it is comparable across hosts with different
-// core counts. Speedups are relative to the reference (dense) engine of the
-// same run.
+// speedup of the batched engine over the dense reference for the forward
+// simulation across PRs. For each grid size the sweep times one exact
+// forward simulation (Eq. 3) per FFT engine at a fixed worker count of 1 —
+// the single-threaded column is what the pruning claim is about, and it is
+// comparable across hosts with different core counts. Speedups are
+// relative to the reference engine of the same run. Older reports also
+// carry band_* columns for engines since removed; the loader ignores them.
 
 // FFTPoint is one grid size's measurement (seconds per forward simulation).
 type FFTPoint struct {
-	M               int     `json:"m"`
-	ReferenceSec    float64 `json:"reference_sec"`    // dense forward + dense inverses
-	BandInverseSec  float64 `json:"band_inverse_sec"` // dense forward + pruned inverses
-	BandSec         float64 `json:"band_sec"`         // packed forward + pruned inverses
-	BatchedSec      float64 `json:"batched_sec"`      // packed forward + fused batched inverse
-	BandInverseGain float64 `json:"band_inverse_speedup"`
-	BandGain        float64 `json:"band_speedup"`
-	BatchedGain     float64 `json:"batched_speedup"`
+	M            int     `json:"m"`
+	ReferenceSec float64 `json:"reference_sec"` // dense forward + dense inverses
+	BatchedSec   float64 `json:"batched_sec"`   // packed forward + fused batched inverse
+	BatchedGain  float64 `json:"batched_speedup"`
 }
 
 // FFTSweep is the serializable sweep report.
@@ -70,14 +67,14 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Host: telemetry.Host(),
 	}
-	engines := []litho.FFTEngine{litho.EngineReference, litho.EngineBandInverse, litho.EngineBand, litho.EngineBatch}
+	engines := []litho.FFTEngine{litho.EngineReference, litho.EngineBatch}
 	for _, m := range sizes {
 		cs, err := M1Case(m, fieldNM, 1, PaperM1Areas[0], m1Params())
 		if err != nil {
 			return nil, err
 		}
 		mask := cs.Target
-		var secs [4]float64
+		var secs [2]float64
 		for i, e := range engines {
 			sim := litho.NewSim(model)
 			sim.Workers = 1
@@ -94,13 +91,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 			}
 			secs[i] = time.Since(start).Seconds() / float64(reps)
 		}
-		pt := FFTPoint{M: m, ReferenceSec: secs[0], BandInverseSec: secs[1], BandSec: secs[2], BatchedSec: secs[3]}
-		if pt.BandInverseSec > 0 {
-			pt.BandInverseGain = pt.ReferenceSec / pt.BandInverseSec
-		}
-		if pt.BandSec > 0 {
-			pt.BandGain = pt.ReferenceSec / pt.BandSec
-		}
+		pt := FFTPoint{M: m, ReferenceSec: secs[0], BatchedSec: secs[1]}
 		if pt.BatchedSec > 0 {
 			pt.BatchedGain = pt.ReferenceSec / pt.BatchedSec
 		}
@@ -130,8 +121,6 @@ func (s *FFTSweep) WriteBenchstat(path string) error {
 			sec  float64
 		}{
 			{"reference", p.ReferenceSec},
-			{"band-inverse", p.BandInverseSec},
-			{"band", p.BandSec},
 			{"batch", p.BatchedSec},
 		} {
 			fmt.Fprintf(&b, "BenchmarkForward/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
@@ -164,8 +153,6 @@ func CompareFFTSweeps(old, new *FFTSweep) string {
 			fmt.Fprintf(&b, "%-6d  %-14s  %10.4fs  %10.4fs  %s\n", np.M, name, o, n, delta)
 		}
 		row("reference", op.ReferenceSec, np.ReferenceSec)
-		row("band-inverse", op.BandInverseSec, np.BandInverseSec)
-		row("band", op.BandSec, np.BandSec)
 		row("batch", op.BatchedSec, np.BatchedSec)
 	}
 	return b.String()
@@ -173,18 +160,20 @@ func CompareFFTSweeps(old, new *FFTSweep) string {
 
 // GateFFTSweeps is the bench-compare regression gate: it fails when any
 // engine at any size shared by both reports slowed down by more than
-// maxRegressPct percent. Engines missing from the baseline (zero seconds,
-// e.g. batched columns predating PR 8) are skipped, so the gate stays
-// usable across trajectory-schema growth. The threshold should be generous
-// — single-rep timings on shared CI hosts are noisy — its job is catching
-// catastrophic regressions (a pruning or fusion path silently disabled),
-// not single-digit drift.
+// maxRegressPct percent. Engines missing from either report (zero seconds)
+// are skipped, so the gate stays usable across trajectory-schema changes —
+// but a run that compared no (size, engine) pair at all is an error, not a
+// pass: a renamed JSON key or a disjoint -sizes list would otherwise gate
+// nothing. The threshold should be generous — single-rep timings on shared
+// CI hosts are noisy — its job is catching catastrophic regressions (a
+// pruning or fusion path silently disabled), not single-digit drift.
 func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 	oldAt := map[int]FFTPoint{}
 	for _, p := range old.Points {
 		oldAt[p.M] = p
 	}
 	var fails []string
+	compared := 0
 	for _, np := range new.Points {
 		op, ok := oldAt[np.M]
 		if !ok {
@@ -194,14 +183,16 @@ func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 			if o <= 0 || n <= 0 {
 				return
 			}
+			compared++
 			if pct := (n/o - 1) * 100; pct > maxRegressPct {
 				fails = append(fails, fmt.Sprintf("m=%d %s %+.1f%% (%.4fs → %.4fs)", np.M, name, pct, o, n))
 			}
 		}
 		check("reference", op.ReferenceSec, np.ReferenceSec)
-		check("band-inverse", op.BandInverseSec, np.BandInverseSec)
-		check("band", op.BandSec, np.BandSec)
 		check("batch", op.BatchedSec, np.BatchedSec)
+	}
+	if compared == 0 {
+		return fmt.Errorf("bench: regression gate compared no (size, engine) pair: the reports share no size with timings for a known engine")
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("bench: regression gate (>%g%%) failed:\n  %s", maxRegressPct, strings.Join(fails, "\n  "))

@@ -16,10 +16,10 @@ func TestRunFFTSweep(t *testing.T) {
 		t.Fatalf("sweep metadata incomplete: %+v", s)
 	}
 	for _, p := range s.Points {
-		if p.ReferenceSec <= 0 || p.BandInverseSec <= 0 || p.BandSec <= 0 || p.BatchedSec <= 0 {
+		if p.ReferenceSec <= 0 || p.BatchedSec <= 0 {
 			t.Errorf("m=%d: non-positive timings %+v", p.M, p)
 		}
-		if p.BandInverseGain <= 0 || p.BandGain <= 0 || p.BatchedGain <= 0 {
+		if p.BatchedGain <= 0 {
 			t.Errorf("m=%d: speedups not computed %+v", p.M, p)
 		}
 	}
@@ -47,10 +47,10 @@ func TestRunFFTSweep(t *testing.T) {
 	}
 	txt := string(raw)
 	// One benchmark line per (size, engine) pair, benchstat-parseable.
-	if got := strings.Count(txt, "BenchmarkForward/"); got != 8 {
-		t.Errorf("%d benchmark lines, want 8:\n%s", got, txt)
+	if got := strings.Count(txt, "BenchmarkForward/"); got != 4 {
+		t.Errorf("%d benchmark lines, want 4:\n%s", got, txt)
 	}
-	if !strings.Contains(txt, "engine=band ") || !strings.Contains(txt, "ns/op") {
+	if !strings.Contains(txt, "engine=batch ") || !strings.Contains(txt, "engine=reference ") || !strings.Contains(txt, "ns/op") {
 		t.Errorf("benchstat format missing fields:\n%s", txt)
 	}
 
@@ -62,7 +62,7 @@ func TestRunFFTSweep(t *testing.T) {
 
 func TestGateFFTSweeps(t *testing.T) {
 	old := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7, BatchedSec: 0.5},
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5},
 	}}
 	same := &FFTSweep{Points: old.Points}
 	if err := GateFFTSweeps(old, same, 25); err != nil {
@@ -70,7 +70,7 @@ func TestGateFFTSweeps(t *testing.T) {
 	}
 
 	slow := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7, BatchedSec: 1.5},
+		{M: 64, ReferenceSec: 1, BatchedSec: 1.5},
 	}}
 	err := GateFFTSweeps(old, slow, 25)
 	if err == nil || !strings.Contains(err.Error(), "batch") {
@@ -80,9 +80,28 @@ func TestGateFFTSweeps(t *testing.T) {
 	// Engines absent from the baseline (zero seconds) are skipped, so the
 	// gate survives trajectory files predating a column family.
 	noBatch := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7},
+		{M: 64, ReferenceSec: 1},
 	}}
 	if err := GateFFTSweeps(noBatch, slow, 25); err != nil {
 		t.Errorf("missing baseline column should be skipped: %v", err)
+	}
+
+	// A gate that compared nothing must not pass: disjoint sizes, a
+	// baseline whose known columns are all zero (e.g. only legacy keys),
+	// and an empty new report each leave zero (size, engine) pairs.
+	otherSize := &FFTSweep{Points: []FFTPoint{{M: 128, ReferenceSec: 1, BatchedSec: 0.5}}}
+	legacyOnly := &FFTSweep{Points: []FFTPoint{{M: 64}}}
+	for _, tc := range []struct {
+		name     string
+		old, new *FFTSweep
+	}{
+		{"disjoint sizes", old, otherSize},
+		{"no known column", legacyOnly, same},
+		{"empty new", old, &FFTSweep{}},
+	} {
+		err := GateFFTSweeps(tc.old, tc.new, 25)
+		if err == nil || !strings.Contains(err.Error(), "compared no") {
+			t.Errorf("%s: gate over zero compared pairs should fail, got %v", tc.name, err)
+		}
 	}
 }

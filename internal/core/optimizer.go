@@ -68,11 +68,6 @@ type Options struct {
 	// one Process must agree on this value. Results are bit-identical for
 	// every setting.
 	Workers int
-	// Engine selects the simulator's FFT engine by name ("batch", "band",
-	// "band-inverse", "reference"; see litho.ParseEngine). Empty leaves
-	// the process simulator's current setting. Like Workers, concurrent
-	// optimizers sharing one Process must agree on it.
-	Engine string
 	// Recorder receives per-iteration trace events (stage index, scale,
 	// loss terms, step size, line-search retries, wall time) and stage
 	// start/end markers, and is propagated to the process simulator for
@@ -182,16 +177,6 @@ func New(opts Options, target *grid.Mat) (*Optimizer, error) {
 		// Process (the fullchip tile pool) all carry the pre-applied value
 		// and must not race on the simulator's knob.
 		opts.Process.Sim.Workers = opts.Workers
-	}
-	if opts.Engine != "" {
-		eng, err := litho.ParseEngine(opts.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if opts.Process.Sim.Engine != eng {
-			// Write-on-change, as with Workers above.
-			opts.Process.Sim.Engine = eng
-		}
 	}
 	if opts.Recorder.Enabled() && opts.Process.Sim.Recorder != opts.Recorder {
 		// Same write-on-change discipline as Workers: concurrent tile

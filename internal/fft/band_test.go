@@ -58,9 +58,9 @@ func equalBits(a, b *grid.CMat) (int, bool) {
 	return 0, true
 }
 
-// The tentpole guarantee: InverseBand is bit-for-bit the dense Inverse, for
-// every kernel-support/grid combination the kernel sets produce (P = 13 at
-// test scale, 35 at paper scale) plus edge halves.
+// The pruning guarantee: InverseBandNoNorm is bit-for-bit the dense
+// InverseNoNorm, for every kernel-support/grid combination the kernel sets
+// produce (P = 13 at test scale, 35 at paper scale) plus edge halves.
 func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []int{32, 64, 128, 256} {
@@ -75,9 +75,9 @@ func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 			}
 			src, band := bandSpectrum(rng, m, half)
 			want := denseCopy(src, band)
-			plan.Inverse(want)
+			plan.InverseNoNorm(want)
 
-			// dst starts as NaN-poisoned pool garbage: InverseBand must
+			// dst starts as NaN-poisoned pool garbage: InverseBandNoNorm must
 			// fully overwrite it.
 			got := grid.NewCMat(m, m)
 			nan := complex(math.NaN(), math.NaN())
@@ -85,13 +85,13 @@ func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 				got.Data[i] = nan
 			}
 			srcBefore := src.Clone()
-			plan.InverseBand(got, src, band)
+			plan.InverseBandNoNorm(got, src, band)
 			if i, ok := equalBits(got, want); !ok {
-				t.Errorf("m=%d P=%d: InverseBand differs from Inverse at %d: %v vs %v",
+				t.Errorf("m=%d P=%d: InverseBandNoNorm differs from InverseNoNorm at %d: %v vs %v",
 					m, p, i, got.Data[i], want.Data[i])
 			}
 			if i, ok := equalBits(src, srcBefore); !ok {
-				t.Errorf("m=%d P=%d: InverseBand modified src at %d", m, p, i)
+				t.Errorf("m=%d P=%d: InverseBandNoNorm modified src at %d", m, p, i)
 			}
 		}
 	}
@@ -107,20 +107,20 @@ func TestInverseBandFullCoverAndEmpty(t *testing.T) {
 	// A band wide enough to cover every row degrades to the dense path.
 	src := rand2D(rng, m, m)
 	want := src.Clone()
-	plan.Inverse(want)
+	plan.InverseNoNorm(want)
 	got := grid.NewCMat(m, m)
-	plan.InverseBand(got, src, BandSpec{Half: m / 2})
+	plan.InverseBandNoNorm(got, src, BandSpec{Half: m / 2})
 	if i, ok := equalBits(got, want); !ok {
-		t.Errorf("full-cover InverseBand differs from Inverse at %d", i)
+		t.Errorf("full-cover InverseBandNoNorm differs from InverseNoNorm at %d", i)
 	}
 	// BandNone means "nothing populated": the result is the all-zero image.
 	for i := range got.Data {
 		got.Data[i] = complex(math.NaN(), 0)
 	}
-	plan.InverseBand(got, src, BandNone)
+	plan.InverseBandNoNorm(got, src, BandNone)
 	for i, v := range got.Data {
 		if v != 0 {
-			t.Fatalf("InverseBand(BandNone) left %v at %d", v, i)
+			t.Fatalf("InverseBandNoNorm(BandNone) left %v at %d", v, i)
 		}
 	}
 }
@@ -195,50 +195,11 @@ func TestForwardRealZeroMaskIsExactlyZero(t *testing.T) {
 	}
 }
 
-// ApplyKernelBand must leave every *band row* bitwise equal to ApplyKernel's
-// full output across reuse sequences that shrink, grow and repeat the kernel
-// support — the dirty-band clearing logic under test.
-func TestApplyKernelBandMatchesApplyKernelAcrossReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	const n, m = 64, 64
-	spec := rand2D(rng, n, n)
-	kernel := func(p int) *grid.CMat {
-		k := grid.NewCMat(p, p)
-		for i := range k.Data {
-			k.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		return k
-	}
-	k5, k13 := kernel(5), kernel(13)
-	scale := complex(0.25, 0)
-
-	var dst *grid.CMat
-	dirty := BandNone
-	for step, k := range []*grid.CMat{k13, k5, k13, k13, k5, k5} {
-		dst, dirty = ApplyKernelBand(dst, dirty, spec, k, m, scale)
-		want := ApplyKernel(nil, spec, k, m, scale)
-		if dirty.Half != k.W/2 {
-			t.Fatalf("step %d: band half %d, want %d", step, dirty.Half, k.W/2)
-		}
-		rows := dirty.Rows(m)
-		for i := 0; i < rows; i++ {
-			y := dirty.Row(i, m)
-			for x := 0; x < m; x++ {
-				g, w := dst.Data[y*m+x], want.Data[y*m+x]
-				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-					t.Fatalf("step %d (P=%d): band row %d col %d: %v != %v",
-						step, k.W, y, x, g, w)
-				}
-			}
-		}
-	}
-}
-
-// The combination actually used by the simulator: ApplyKernelBand into a
-// reused scratch buffer, then InverseBand — bitwise equal to the dense
-// ApplyKernel + Inverse pipeline.
-func TestApplyKernelBandPlusInverseBandPipeline(t *testing.T) {
+// The combination the gradient accumulator and the Eq. 7 truncation rely
+// on: ApplyKernel's output honours the BandSpec contract, so handing it to
+// InverseBandNoNorm is bitwise equal to the dense ApplyKernel +
+// InverseNoNorm pipeline.
+func TestApplyKernelPlusInverseBandPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const n, m = 128, 64
 	spec := rand2D(rng, n, n)
@@ -252,12 +213,12 @@ func TestApplyKernelBandPlusInverseBandPipeline(t *testing.T) {
 	}
 	scale := complex(0.25, 0) // Eq. 7 truncation scale for s = 2
 
-	prod, band := ApplyKernelBand(nil, BandNone, spec, k, m, scale)
+	prod := ApplyKernel(nil, spec, k, m, scale)
 	got := grid.NewCMat(m, m)
-	plan.InverseBand(got, prod, band)
+	plan.InverseBandNoNorm(got, prod, BandSpec{Half: k.W / 2})
 
-	want := ApplyKernel(nil, spec, k, m, scale)
-	plan.Inverse(want)
+	want := prod.Clone()
+	plan.InverseNoNorm(want)
 	if i, ok := equalBits(got, want); !ok {
 		t.Fatalf("pipeline differs from dense at %d: %v vs %v", i, got.Data[i], want.Data[i])
 	}

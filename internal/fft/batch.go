@@ -26,8 +26,9 @@ import (
 // lockstep: each butterfly loads its twiddle once and applies it to four
 // lanes sitting in one 64-byte cache line. Since every lane performs
 // exactly the per-element operation sequence of the one-kernel pruned
-// inverse, the batched result is bit-for-bit identical to the
-// ApplyKernelBand + InverseBandNoNorm pair it replaces. The column pass
+// inverse, the batched result is bit-for-bit identical to the per-kernel
+// ApplyKernel + InverseNoNorm pair it replaces (pruning is bit-exact, see
+// band.go). The column pass
 // walks blocks of four columns, so the gather from the row intermediate,
 // the scatter into the amplitude and the intensity accumulation all touch
 // full cache lines instead of one value in eight.
@@ -42,7 +43,7 @@ import (
 // rows deviate at the ulp level — documented in DESIGN.md, "FFT engine
 // v2". Physical SOCS kernels are not exactly Hermitian (they carry
 // defocus/aberration phase), so on the production path the gate stays
-// closed and batched output is bit-identical to the band engine.
+// closed and batched output is bit-identical to the dense per-kernel pair.
 
 // BatchInverse is the retained state between MulRowsBatch and
 // InverseColumns: the row-transformed band products of every kernel. It is
@@ -66,13 +67,14 @@ type BatchInverse struct {
 // normalisation) and runs the pruned inverse row transforms for the whole
 // batch, interleaved four rows at a time. spec is n×n with n ≥ m (Eq. 7
 // truncation happens through the frequency indexing, as in
-// ApplyKernelBand); kernels must share one odd support P ≤ m.
+// ApplyKernel); kernels must share one odd support P ≤ m.
 // specHermitian declares that spec came from a real mask, enabling the
 // conjugate-mirror row halving for exactly-Hermitian kernels.
 //
 // Returns nil when the batch layout does not apply — m not a multiple of
-// four, or the kernel band covers the whole grid — and the caller should
-// fall back to the per-kernel path.
+// four, or the kernel band covers the whole grid (for an odd P ≤ a
+// power-of-two m, both need P = 1), or an empty kernel set — and the
+// caller should fall back to the dense per-kernel path.
 func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale complex128, specHermitian bool, workers int) *BatchInverse {
 	m := p.w
 	if p.h != m {

@@ -46,23 +46,19 @@ func hermitizeKernel(k *grid.CMat) {
 	d[mid] = complex(real(d[mid]), 0)
 }
 
-// perKernelFolded runs the non-batched folded path — ApplyKernelBand with
-// the folded scale, InverseBandNoNorm, AbsSqScaledInto+Add intensity fold
-// in ascending k — the sequence the batch must reproduce bit-for-bit.
+// perKernelFolded runs the dense per-kernel folded path — ApplyKernel with
+// the folded scale, InverseNoNorm, AbsSqScaledInto+Add intensity fold in
+// ascending k — the sequence the batch must reproduce bit-for-bit (its
+// pruning skips only butterflies on structural zeros).
 func perKernelFolded(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, scale complex128, weights []float64) ([]*grid.CMat, *grid.Mat) {
 	t.Helper()
 	m := plan.W()
 	outs := make([]*grid.CMat, len(kernels))
 	intensity := grid.NewMat(m, m)
 	contrib := grid.NewMat(m, m)
-	var prod *grid.CMat
-	dirty := BandNone
 	for k, kern := range kernels {
-		var band BandSpec
-		prod, band = ApplyKernelBand(prod, dirty, spec, kern, m, scale)
-		dirty = band
-		outs[k] = grid.NewCMat(m, m)
-		plan.InverseBandNoNorm(outs[k], prod, band)
+		outs[k] = ApplyKernel(nil, spec, kern, m, scale)
+		plan.InverseNoNorm(outs[k])
 		outs[k].AbsSqScaledInto(contrib, weights[k])
 		intensity.Add(contrib)
 	}
@@ -101,7 +97,7 @@ func kernelSupportFor(m int) int {
 }
 
 // TestBatchMatchesPerKernelBitExact: the batched MulRowsBatch +
-// InverseColumns pair must reproduce the per-kernel folded band path
+// InverseColumns pair must reproduce the dense per-kernel folded path
 // bit-for-bit — amplitudes and the k-ordered intensity fold — across the
 // size sweep m ∈ {8…2048} with a general (non-Hermitian) spectrum.
 func TestBatchMatchesPerKernelBitExact(t *testing.T) {
@@ -142,7 +138,7 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 }
 
 // TestBatchEq7Spectrum: the batch consumes an n×n spectrum at reduced size
-// m < n (the Eq. 7 truncation) identically to ApplyKernelBand.
+// m < n (the Eq. 7 truncation) identically to ApplyKernel + InverseNoNorm.
 func TestBatchEq7Spectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, m, pk, nk := 256, 64, 17, 4
@@ -277,7 +273,7 @@ func TestBatchHermitianMirror(t *testing.T) {
 }
 
 // TestBatchFallbacks: layouts the batch cannot take return nil so callers
-// fall back to the per-kernel path.
+// fall back to the dense per-kernel path.
 func TestBatchFallbacks(t *testing.T) {
 	plan, err := NewPlan2(16, 16)
 	if err != nil {
@@ -287,6 +283,16 @@ func TestBatchFallbacks(t *testing.T) {
 	spec := randCMatFFT(rng, 16, 16)
 	if b := plan.MulRowsBatch(spec, nil, 1, false, 1); b != nil {
 		t.Error("empty kernel set should return nil")
+	}
+	// m = 2 is not a multiple of four (and an odd P ≤ 2 is P = 1, a band
+	// that covers nothing yet) — the only power-of-two grid besides m = 1
+	// that the batch declines.
+	plan2, err := NewPlan2(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := plan2.MulRowsBatch(randCMatFFT(rng, 2, 2), []*grid.CMat{randCMatFFT(rng, 1, 1)}, 1, false, 1); b != nil {
+		t.Error("m = 2 should return nil")
 	}
 	// A band one short of covering (P = 15 on m = 16 — an odd P ≤ m can
 	// never actually cover a power-of-two m) still takes the batch path.

@@ -20,7 +20,7 @@ import (
 //
 // The analysis is a branch-sensitive taint walk: a variable assigned from
 // a pool Get (directly or through a call that received leased scratch as
-// an argument, like fft.ApplyKernelBand returning its dst) is tainted;
+// an argument, like fft.ApplyKernel returning its dst) is tainted;
 // reassigning it from a clean source clears the taint on that path, so
 // `if keepAmps { amp = grid.NewCMat(...); f.Amps[k] = amp }` is correctly
 // accepted while the pooled branch stays guarded.
@@ -143,7 +143,7 @@ func (w *aliasWalker) expr(e ast.Expr, st taintState) bool {
 		}
 		w.expr(e.Fun, st) // func literals called inline, selector bases
 		// A call that received leased scratch may return it (e.g.
-		// fft.ApplyKernelBand returns its dst); propagate only when a
+		// fft.ApplyKernel returns its dst); propagate only when a
 		// result can alias. Multi-value results surface as a tuple here
 		// and assignTo filters per-target by refLike.
 		if !tainted {

@@ -25,9 +25,8 @@
 // pass, with the inverse normalisation and SOCS scale folded into the
 // multiply, the mask spectrum from the two-for-one real-input forward
 // (identical to rounding), and the intensity fold fused into the column
-// transforms. Sim.Engine selects between this default, the per-kernel
-// EngineBand, the pruning-only EngineBandInverse, and the dense
-// EngineReference.
+// transforms. Sim.Engine selects between this default and the dense
+// EngineReference oracle.
 package litho
 
 import (
@@ -46,31 +45,23 @@ import (
 // only a P×P band of each product spectrum, so the per-kernel inverse
 // transforms can prune the rows and butterfly blocks that are structurally
 // zero; the mask itself is real, so its forward transform can pack row pairs
-// two-for-one. The engines expose those two optimisations separately
-// because their equivalence guarantees differ: pruning is bit-identical to
-// the dense reference, the real-input packing is identical only to rounding.
+// two-for-one. Pruning is bit-identical to the dense transform, the
+// real-input packing is identical only to rounding.
 type FFTEngine int
 
 const (
-	// EngineBatch (the default) runs the whole kernel set through one
+	// EngineBatch (the default) packs the real mask two-for-one
+	// (fft.Plan2.ForwardReal) and runs the whole kernel set through one
 	// batched multiply + pruned inverse (fft.MulRowsBatch/InverseColumns):
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
-	// fold fused into the column pass. Produces the same bits as EngineBand
-	// for every output (each lane performs EngineBand's exact operation
-	// sequence), hence agrees with EngineReference to rounding; see
-	// DESIGN.md, "FFT engine v2".
+	// fold fused into the column pass. Given the same spectrum it is
+	// bit-identical to dense per-kernel ApplyKernel + InverseNoNorm inverses
+	// folded in ascending k, hence agrees with EngineReference to rounding
+	// (from the forward packing only); see DESIGN.md, "FFT engine v2".
 	EngineBatch FFTEngine = iota
-	// EngineBand applies the two structural optimisations kernel by
-	// kernel: ForwardReal for the mask spectrum and InverseBand for every
-	// per-kernel inverse. Agrees with EngineReference to rounding
-	// (~ulp-level relative error, from the forward packing only).
-	EngineBand
-	// EngineBandInverse keeps the dense reference forward transform and
-	// prunes only the per-kernel inverses — bit-identical to
-	// EngineReference for every output, at most of EngineBand's speed.
-	EngineBandInverse
-	// EngineReference is the dense pre-band engine, retained as the
-	// reference implementation the equivalence tests compare against.
+	// EngineReference is the dense engine — dense forward transform, dense
+	// per-kernel inverses — retained as the oracle the equivalence tests
+	// compare against.
 	EngineReference
 )
 
@@ -79,10 +70,6 @@ func (e FFTEngine) String() string {
 	switch e {
 	case EngineBatch:
 		return "batch"
-	case EngineBand:
-		return "band"
-	case EngineBandInverse:
-		return "band-inverse"
 	case EngineReference:
 		return "reference"
 	}
@@ -96,14 +83,10 @@ func ParseEngine(s string) (FFTEngine, error) {
 	switch s {
 	case "", "batch":
 		return EngineBatch, nil
-	case "band":
-		return EngineBand, nil
-	case "band-inverse":
-		return EngineBandInverse, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return 0, fmt.Errorf("litho: unknown FFT engine %q (want batch, band, band-inverse or reference)", s)
+	return 0, fmt.Errorf("litho: unknown FFT engine %q (want batch or reference)", s)
 }
 
 // Sim owns the FFT plan cache and runs forward/adjoint simulations for one
@@ -115,7 +98,7 @@ type Sim struct {
 	// Set it before sharing the Sim across goroutines.
 	Workers int
 	// Engine selects the FFT execution paths; the zero value is the
-	// band-aware default. Set it before sharing the Sim across goroutines.
+	// batched default. Set it before sharing the Sim across goroutines.
 	Engine FFTEngine
 	// Recorder receives phase timers (litho.fft_forward, litho.socs,
 	// litho.fft_inverse, litho.adjoint) and simulation counters. Nil (the
@@ -211,12 +194,12 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 }
 
 // maskSpectrum computes the unnormalised FFT of the mask under the active
-// engine: the band engine packs the real input two-for-one (ForwardReal),
-// the others run the dense reference transform.
+// engine: the batch engine packs the real input two-for-one (ForwardReal),
+// the reference runs the dense transform.
 func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
-	if s.Engine == EngineBatch || s.Engine == EngineBand {
+	if s.Engine == EngineBatch {
 		spec := grid.NewCMat(mask.W, mask.H)
 		plan.ForwardReal(spec, mask)
 		return spec
@@ -229,129 +212,64 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 // accumulateSOCS runs the per-kernel SOCS loop shared by Forward and
 // ForwardEq7: amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity
 // += dose·w_k·|A_k|². The inverse-FFT 1/m² normalisation is folded into
-// the kernel multiply (fft.FoldInverseScale) on every engine, so each
-// amplitude buffer is touched one fewer time; all engines fold through the
-// same expression, preserving their cross-engine equivalences.
+// the kernel multiply (fft.FoldInverseScale) on both lanes, so each
+// amplitude buffer is touched one fewer time; both lanes fold through the
+// same expression, preserving their equivalence.
 //
-// Engines: EngineBatch hands the whole kernel set to fft.MulRowsBatch /
-// InverseColumns — one cache-blocked pass with the intensity fold fused
-// into the column transforms, bit-identical to the per-kernel band path.
-// The per-kernel engines fan the amplitude work across kernelWorkers
-// goroutines; each kernel's intensity contribution lands in a pooled
-// private buffer and the final fold into f.Intensity runs on the calling
-// goroutine in ascending k — the floating-point reduction order is fixed
-// (the batch fuses the same ascending-k fold into its disjoint column
-// blocks), so any worker count produces the same bits on every engine.
+// Lanes: EngineBatch hands the whole kernel set to fft.MulRowsBatch /
+// InverseColumns (batchSOCS). EngineReference, and the layouts the batch
+// declines (P = 1 on m ≤ 2, or no kernels), take the dense lane: kernels
+// advance in chunks of kernelWorkers, each chunk's dense ApplyKernel +
+// InverseNoNorm + |A_k|² contributions run in parallel into pooled
+// buffers, and the chunk folds into f.Intensity on the calling goroutine
+// in ascending k. Live scratch is bounded by the chunk, not by the kernel
+// count, and the reduction order is fixed — the batch fuses the same
+// ascending-k fold into its disjoint column blocks — so every worker count
+// produces the same bits on both lanes, and the batch lane reproduces the
+// dense lane's bits when both are handed the same spectrum.
 //
-// Under the band engines the kernel product lives in a band-limited scratch
-// buffer (ApplyKernelBand clears only the previously dirty rows) and the
-// inverse is the pruned out-of-place InverseBandNoNorm — bit-identical to
-// the dense ApplyKernel + InverseNoNorm pair it replaces.
-//
-// Telemetry: the serial lane alternates non-overlapping litho.socs /
-// litho.fft_inverse spans so traces show the inverse-transform share of the
-// SOCS loop; the parallel lane records one caller-side litho.socs span
-// (per-worker spans would double-count wall time and break tracecheck's
-// phase-coverage bound). The batch records one litho.socs span around the
-// row pass and one litho.fft_inverse span around the column pass.
+// Telemetry: the batch records one litho.socs span around the row pass and
+// one litho.fft_inverse span around the column pass; the dense lane
+// records one caller-side litho.socs span (per-worker spans would
+// double-count wall time and break tracecheck's phase-coverage bound).
 func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
 	ks := f.KS
 	nk := len(ks.Kernels)
 	workers := s.kernelWorkers(nk)
-	banded := s.Engine != EngineReference
-	scale = fft.FoldInverseScale(scale, m, m)
+	folded := fft.FoldInverseScale(scale, m, m)
+	s.Recorder.Add("litho.kernel_ffts", int64(nk))
 
-	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, scale, keepAmps, workers) {
-		s.Recorder.Add("litho.kernel_ffts", int64(nk))
-		return
-	}
-
-	if workers <= 1 {
-		// Serial fast path: one amplitude buffer and one contribution buffer
-		// recycled across all kernels — O(1) scratch at any grid size.
-		contrib := s.mscratch.Get(m, m)
-		var prod *grid.CMat
-		dirty := fft.BandNone
-		if banded {
-			prod = s.cscratch.Get(m, m)
-		}
-		var buf *grid.CMat
-		if !keepAmps {
-			buf = s.cscratch.Get(m, m)
-		}
-		for k, h := range ks.Kernels {
-			amp := buf
-			if keepAmps {
-				amp = grid.NewCMat(m, m)
-				f.Amps[k] = amp
-			}
-			sp := s.Recorder.StartSpan("litho.socs")
-			if banded {
-				prod, dirty = fft.ApplyKernelBand(prod, dirty, spec, h, m, scale)
-			} else {
-				fft.ApplyKernel(amp, spec, h, m, scale)
-			}
-			sp.End()
-			spi := s.Recorder.StartSpan("litho.fft_inverse")
-			if banded {
-				plan.InverseBandNoNorm(amp, prod, dirty)
-			} else {
-				plan.InverseNoNorm(amp)
-			}
-			spi.End()
-			sp = s.Recorder.StartSpan("litho.socs")
-			amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
-			f.Intensity.Add(contrib)
-			sp.End()
-		}
-		if prod != nil {
-			s.cscratch.Put(prod)
-		}
-		if buf != nil {
-			s.cscratch.Put(buf)
-		}
-		s.mscratch.Put(contrib)
-		s.Recorder.Add("litho.kernel_ffts", int64(nk))
+	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, folded, keepAmps, workers) {
 		return
 	}
 
 	sp := s.Recorder.StartSpan("litho.socs")
 	contribs := make([]*grid.Mat, nk)
-	grid.ParallelFor(workers, nk, func(k int) {
-		h := ks.Kernels[k]
-		var amp *grid.CMat
-		if banded {
-			prod, band := fft.ApplyKernelBand(s.cscratch.Get(m, m), fft.BandNone, spec, h, m, scale)
+	for c0 := 0; c0 < nk; c0 += workers {
+		c1 := min(c0+workers, nk)
+		grid.ParallelFor(workers, c1-c0, func(j int) {
+			k := c0 + j
+			var amp *grid.CMat
 			if keepAmps {
-				amp = grid.NewCMat(m, m)
+				amp = fft.ApplyKernel(nil, spec, ks.Kernels[k], m, folded)
 				f.Amps[k] = amp
 			} else {
-				amp = s.cscratch.Get(m, m)
-			}
-			plan.InverseBandNoNorm(amp, prod, band)
-			s.cscratch.Put(prod)
-		} else {
-			if keepAmps {
-				amp = fft.ApplyKernel(nil, spec, h, m, scale)
-				f.Amps[k] = amp
-			} else {
-				amp = fft.ApplyKernel(s.cscratch.Get(m, m), spec, h, m, scale)
+				amp = fft.ApplyKernel(s.cscratch.Get(m, m), spec, ks.Kernels[k], m, folded)
 			}
 			plan.InverseNoNorm(amp)
+			c := s.mscratch.Get(m, m)
+			amp.AbsSqScaledInto(c, f.Dose*ks.Weights[k])
+			contribs[k] = c
+			if !keepAmps {
+				s.cscratch.Put(amp)
+			}
+		})
+		for k := c0; k < c1; k++ {
+			f.Intensity.Add(contribs[k])
+			s.mscratch.Put(contribs[k])
 		}
-		c := s.mscratch.Get(m, m)
-		amp.AbsSqScaledInto(c, f.Dose*ks.Weights[k])
-		contribs[k] = c
-		if !keepAmps {
-			s.cscratch.Put(amp)
-		}
-	})
-	for _, c := range contribs {
-		f.Intensity.Add(c)
-		s.mscratch.Put(c)
 	}
 	sp.End()
-	s.Recorder.Add("litho.kernel_ffts", int64(nk))
 }
 
 // batchSOCS is the EngineBatch lane of accumulateSOCS: the kernel multiply
@@ -359,15 +277,14 @@ func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, 
 // (litho.socs span), then the column transforms with the fused ascending-k
 // intensity fold (litho.fft_inverse span). scale must already carry the
 // folded 1/m² (accumulateSOCS does this). Reports false when the batch
-// layout does not apply so the caller falls back to the per-kernel band
-// lane.
+// layout does not apply so the caller falls back to the dense lane.
 func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int) bool {
 	ks := f.KS
 	sp := s.Recorder.StartSpan("litho.socs")
 	// The mask spectrum comes from a real mask, so it is Hermitian (to
 	// rounding) — the batch halves the row work for any exactly-Hermitian
 	// kernel; physical kernels carry defocus phase and keep the gate
-	// closed, so this path stays bit-identical to EngineBand.
+	// closed, so this path stays bit-identical to the dense lane.
 	b := plan.MulRowsBatch(spec, ks.Kernels, scale, true, workers)
 	if b == nil {
 		sp.End()
@@ -483,7 +400,6 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	sp := s.Recorder.StartSpan("litho.adjoint")
 	defer sp.End()
 	s.Recorder.Add("litho.adjoint_calls", 1)
-	banded := s.Engine != EngineReference
 	nk := len(f.KS.Kernels)
 	p := f.KS.P
 	workers := s.kernelWorkers(nk)
@@ -499,34 +415,25 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		// Amplitudes recomputed in batched chunks, patches filled.
 	} else {
 		grid.ParallelFor(workers, nk, func(k int) {
-			h := f.KS.Kernels[k]
 			var amp *grid.CMat
-			recomputed := false
 			if f.Amps != nil {
 				amp = f.Amps[k]
-			} else if banded {
-				kprod, band := fft.ApplyKernelBand(s.cscratch.Get(f.M, f.M), fft.BandNone, f.Spec, h, f.M, ampScale)
-				amp = s.cscratch.Get(f.M, f.M)
-				plan.InverseBandNoNorm(amp, kprod, band)
-				s.cscratch.Put(kprod)
-				recomputed = true
 			} else {
-				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, h, f.M, ampScale)
+				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
 				plan.InverseNoNorm(amp)
-				recomputed = true
 			}
 			patches[k] = s.adjointPatch(f, plan, amp, dLdI, k)
-			if recomputed {
+			if f.Amps == nil {
 				s.cscratch.Put(amp)
 			}
 		})
 	}
-	// The patch fold only populates the P×P band of acc, so the band
-	// engines clear just those rows and run the pruned out-of-place inverse
-	// — bit-identical to the dense Zero + Inverse below.
+	// The patch fold only populates the P×P band of acc, so the batch
+	// engine clears just those rows and runs the pruned out-of-place
+	// inverse — bit-identical to the dense Zero + Inverse below.
 	accBand := fft.BandSpec{Half: p / 2}
 	acc := s.cscratch.Get(f.M, f.M)
-	useBand := banded && !accBand.Covers(f.M)
+	useBand := s.Engine == EngineBatch && !accBand.Covers(f.M)
 	if useBand {
 		accBand.ZeroRows(acc)
 	} else {

@@ -85,8 +85,8 @@ type JobRequest struct {
 	// (0 = GOMAXPROCS). Results are bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the simulator's FFT engine by name: "batch" (the
-	// default, also selected by ""), "band", "band-inverse" or
-	// "reference". See litho.ParseEngine.
+	// default, also selected by "") or "reference" (the dense oracle).
+	// See litho.ParseEngine.
 	Engine string `json:"engine,omitempty"`
 	// Priority is "batch" (default) or "interactive".
 	Priority string `json:"priority,omitempty"`

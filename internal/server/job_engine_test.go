@@ -10,9 +10,10 @@ import (
 
 // TestJobRequestEngineField pins the submit-time validation of the
 // "engine" field: every litho.ParseEngine spelling is accepted verbatim
-// (including the empty default), everything else — wrong case, stray
-// whitespace, aliases — is rejected at ParseJobRequest with an error that
-// names the four valid engines, so a bad job never reaches the queue.
+// (including the empty default), everything else — the removed per-kernel
+// band engines, wrong case, stray whitespace, aliases — is rejected at
+// ParseJobRequest with an error that names the two valid engines, so a bad
+// job never reaches the queue.
 func TestJobRequestEngineField(t *testing.T) {
 	parse := func(engineJSON string) (*server.JobSpec, error) {
 		t.Helper()
@@ -20,7 +21,7 @@ func TestJobRequestEngineField(t *testing.T) {
 		return server.ParseJobRequest([]byte(body), server.Limits{})
 	}
 
-	for _, eng := range []string{"", "batch", "band", "band-inverse", "reference"} {
+	for _, eng := range []string{"", "batch", "reference"} {
 		spec, err := parse(eng)
 		if err != nil {
 			t.Errorf("engine %q rejected: %v", eng, err)
@@ -32,6 +33,7 @@ func TestJobRequestEngineField(t *testing.T) {
 	}
 
 	for _, eng := range []string{
+		"band", "band-inverse",
 		"warp", "dense", "ref",
 		"Batch", "BAND", "Band-Inverse", "REFERENCE",
 		" batch", "batch ", "band_inverse", "bandinverse", "batch,band",
@@ -42,7 +44,7 @@ func TestJobRequestEngineField(t *testing.T) {
 			continue
 		}
 		msg := err.Error()
-		for _, want := range []string{"batch", "band", "band-inverse", "reference"} {
+		for _, want := range []string{"batch", "reference"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("engine %q: error %q does not name valid engine %q", eng, msg, want)
 			}
