@@ -140,16 +140,18 @@ bench-workers:
 	$(GO) run ./cmd/benchgen -sweep -n 512 -field 2048 -kernels 24 -reps 3 \
 		-workers 1,2,4,8 -json BENCH_WORKERS.json
 
-# FFT-engine sweep: times the exact forward simulation per FFT engine
-# (dense reference / fused batch) at workers=1 and records the batch
-# speedup in BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
+# FFT-engine sweep: times the exact forward simulation and one gradient
+# per FFT engine (dense reference / fused batch) at workers=1 and records
+# the batch speedups in BENCH_FFT.json plus a benchstat-format sidecar
+# BENCH_FFT.txt.
 bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
 
 # CI smoke lane: a seconds-long sweep at tiny sizes that exercises both
-# engines (reference and the fused batch path) and gates against the
-# committed BENCH_FFT.smoke.json baseline via the bench-compare machinery;
+# engines (reference and the fused batch path, forward and gradient) and
+# gates against the committed BENCH_FFT.smoke.json baseline via the
+# bench-compare machinery;
 # the gate fails if no (size, engine) pair was compared. The 75%
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a

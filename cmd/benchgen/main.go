@@ -88,8 +88,8 @@ func run() error {
 			return err
 		}
 		for _, p := range s.Points {
-			fmt.Printf("m=%-5d reference %8.4fs  batch %8.4fs (%.2fx)\n",
-				p.M, p.ReferenceSec, p.BatchedSec, p.BatchedGain)
+			fmt.Printf("m=%-5d forward reference %8.4fs  batch %8.4fs (%.2fx)  gradient reference %8.4fs  batch %8.4fs (%.2fx)\n",
+				p.M, p.ReferenceSec, p.BatchedSec, p.BatchedGain, p.ReferenceGradSec, p.BatchedGradSec, p.BatchedGradGain)
 		}
 		fmt.Printf("→ %s + %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, txt, s.Kernels, s.P, s.Workers)
 		return nil

@@ -14,20 +14,29 @@ import (
 )
 
 // FFT-engine sweep: the repo-level BENCH_FFT.json artifact tracks the
-// speedup of the batched engine over the dense reference for the forward
-// simulation across PRs. For each grid size the sweep times one exact
-// forward simulation (Eq. 3) per FFT engine at a fixed worker count of 1 —
-// the single-threaded column is what the pruning claim is about, and it is
-// comparable across hosts with different core counts. Speedups are
-// relative to the reference engine of the same run. Older reports also
-// carry band_* columns for engines since removed; the loader ignores them.
+// speedup of the batched engine over the dense reference across PRs. For
+// each grid size the sweep times, per FFT engine at a fixed worker count of
+// 1, one exact forward simulation (Eq. 3) and one Sim.Gradient of that
+// forward's field (amplitudes recomputed, as the optimizer does above its
+// keep-amplitudes limit) — the single-threaded columns are what the pruning
+// claims are about, and they are comparable across hosts with different
+// core counts. Speedups are relative to the reference engine of the same
+// run. Older reports also carry band_* columns for engines since removed;
+// the loader ignores them, and reports without the gradient columns gate
+// the forward pair only.
 
-// FFTPoint is one grid size's measurement (seconds per forward simulation).
+// FFTPoint is one grid size's measurement (seconds per forward simulation
+// and per gradient).
 type FFTPoint struct {
 	M            int     `json:"m"`
 	ReferenceSec float64 `json:"reference_sec"` // dense forward + dense inverses
 	BatchedSec   float64 `json:"batched_sec"`   // packed forward + fused batched inverse
 	BatchedGain  float64 `json:"batched_speedup"`
+	// Gradient: amplitude recompute plus the per-kernel adjoint — dense
+	// forward transforms for the reference, band-output batch for batched.
+	ReferenceGradSec float64 `json:"reference_grad_sec,omitempty"`
+	BatchedGradSec   float64 `json:"batched_grad_sec,omitempty"`
+	BatchedGradGain  float64 `json:"batched_grad_speedup,omitempty"`
 }
 
 // FFTSweep is the serializable sweep report.
@@ -45,8 +54,9 @@ type FFTSweep struct {
 	Points     []FFTPoint         `json:"points"`
 }
 
-// RunFFTSweep measures the forward-simulation cost of each FFT engine at
-// the given grid sizes (reps timed runs after one warm-up each).
+// RunFFTSweep measures the forward-simulation and gradient cost of each
+// FFT engine at the given grid sizes (reps timed runs after one warm-up
+// each).
 func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, error) {
 	if reps < 1 {
 		reps = 1
@@ -74,26 +84,50 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 			return nil, err
 		}
 		mask := cs.Target
-		var secs [2]float64
+		var fwd, grad [2]float64
+		var sims [2]*litho.Sim
+		var fields [2]*litho.Field
+		// Both engines' forwards are timed before any gradient, so the
+		// forward columns are measured as they were before the gradient
+		// columns existed.
 		for i, e := range engines {
 			sim := litho.NewSim(model)
 			sim.Workers = 1
 			sim.Engine = e
 			// Warm-up builds the plan, band tables and scratch pools.
-			if _, err := sim.Forward(mask, model.Nominal, 1, false); err != nil {
+			f, err := sim.Forward(mask, model.Nominal, 1, false)
+			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				if _, err := sim.Forward(mask, model.Nominal, 1, false); err != nil {
+				if f, err = sim.Forward(mask, model.Nominal, 1, false); err != nil {
 					return nil, err
 				}
 			}
-			secs[i] = time.Since(start).Seconds() / float64(reps)
+			fwd[i] = time.Since(start).Seconds() / float64(reps)
+			sims[i], fields[i] = sim, f
 		}
-		pt := FFTPoint{M: m, ReferenceSec: secs[0], BatchedSec: secs[1]}
+		for i, sim := range sims {
+			// The target stands in for dL/dI: the adjoint's cost does not
+			// depend on the values.
+			if _, err := sim.Gradient(fields[i], mask); err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				if _, err := sim.Gradient(fields[i], mask); err != nil {
+					return nil, err
+				}
+			}
+			grad[i] = time.Since(start).Seconds() / float64(reps)
+		}
+		pt := FFTPoint{M: m, ReferenceSec: fwd[0], BatchedSec: fwd[1], ReferenceGradSec: grad[0], BatchedGradSec: grad[1]}
 		if pt.BatchedSec > 0 {
 			pt.BatchedGain = pt.ReferenceSec / pt.BatchedSec
+		}
+		if pt.BatchedGradSec > 0 {
+			pt.BatchedGradGain = pt.ReferenceGradSec / pt.BatchedGradSec
 		}
 		sweep.Points = append(sweep.Points, pt)
 	}
@@ -111,20 +145,24 @@ func (s *FFTSweep) WriteJSON(path string) error {
 
 // WriteBenchstat writes the sweep in Go benchmark format so two runs can be
 // diffed with benchstat (Makefile target bench-compare). One line per
-// (size, engine) pair.
+// (operation, size, engine); gradient lines only where the point has them.
 func (s *FFTSweep) WriteBenchstat(path string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "goos: %s\ngoarch: %s\ncpu: %s\n", runtime.GOOS, runtime.GOARCH, s.Host.CPUModel)
 	for _, p := range s.Points {
 		for _, ec := range []struct {
-			name string
-			sec  float64
+			op, name string
+			sec      float64
 		}{
-			{"reference", p.ReferenceSec},
-			{"batch", p.BatchedSec},
+			{"Forward", "reference", p.ReferenceSec},
+			{"Forward", "batch", p.BatchedSec},
+			{"Gradient", "reference", p.ReferenceGradSec},
+			{"Gradient", "batch", p.BatchedGradSec},
 		} {
-			fmt.Fprintf(&b, "BenchmarkForward/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
-				p.M, s.Kernels, ec.name, ec.sec*1e9)
+			if ec.sec > 0 {
+				fmt.Fprintf(&b, "Benchmark%s/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
+					ec.op, p.M, s.Kernels, ec.name, ec.sec*1e9)
+			}
 		}
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
@@ -154,6 +192,10 @@ func CompareFFTSweeps(old, new *FFTSweep) string {
 		}
 		row("reference", op.ReferenceSec, np.ReferenceSec)
 		row("batch", op.BatchedSec, np.BatchedSec)
+		if op.ReferenceGradSec > 0 || np.ReferenceGradSec > 0 {
+			row("reference-grad", op.ReferenceGradSec, np.ReferenceGradSec)
+			row("batch-grad", op.BatchedGradSec, np.BatchedGradSec)
+		}
 	}
 	return b.String()
 }
@@ -190,6 +232,8 @@ func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 		}
 		check("reference", op.ReferenceSec, np.ReferenceSec)
 		check("batch", op.BatchedSec, np.BatchedSec)
+		check("reference-grad", op.ReferenceGradSec, np.ReferenceGradSec)
+		check("batch-grad", op.BatchedGradSec, np.BatchedGradSec)
 	}
 	if compared == 0 {
 		return fmt.Errorf("bench: regression gate compared no (size, engine) pair: the reports share no size with timings for a known engine")

@@ -16,10 +16,10 @@ func TestRunFFTSweep(t *testing.T) {
 		t.Fatalf("sweep metadata incomplete: %+v", s)
 	}
 	for _, p := range s.Points {
-		if p.ReferenceSec <= 0 || p.BatchedSec <= 0 {
+		if p.ReferenceSec <= 0 || p.BatchedSec <= 0 || p.ReferenceGradSec <= 0 || p.BatchedGradSec <= 0 {
 			t.Errorf("m=%d: non-positive timings %+v", p.M, p)
 		}
-		if p.BatchedGain <= 0 {
+		if p.BatchedGain <= 0 || p.BatchedGradGain <= 0 {
 			t.Errorf("m=%d: speedups not computed %+v", p.M, p)
 		}
 	}
@@ -46,16 +46,19 @@ func TestRunFFTSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	txt := string(raw)
-	// One benchmark line per (size, engine) pair, benchstat-parseable.
+	// One benchmark line per (operation, size, engine), benchstat-parseable.
 	if got := strings.Count(txt, "BenchmarkForward/"); got != 4 {
-		t.Errorf("%d benchmark lines, want 4:\n%s", got, txt)
+		t.Errorf("%d forward benchmark lines, want 4:\n%s", got, txt)
+	}
+	if got := strings.Count(txt, "BenchmarkGradient/"); got != 4 {
+		t.Errorf("%d gradient benchmark lines, want 4:\n%s", got, txt)
 	}
 	if !strings.Contains(txt, "engine=batch ") || !strings.Contains(txt, "engine=reference ") || !strings.Contains(txt, "ns/op") {
 		t.Errorf("benchstat format missing fields:\n%s", txt)
 	}
 
 	diff := CompareFFTSweeps(back, s)
-	if !strings.Contains(diff, "reference") || !strings.Contains(diff, "%") {
+	if !strings.Contains(diff, "reference") || !strings.Contains(diff, "batch-grad") || !strings.Contains(diff, "%") {
 		t.Errorf("compare table incomplete:\n%s", diff)
 	}
 }
@@ -75,6 +78,20 @@ func TestGateFFTSweeps(t *testing.T) {
 	err := GateFFTSweeps(old, slow, 25)
 	if err == nil || !strings.Contains(err.Error(), "batch") {
 		t.Errorf("3x batch regression should fail the gate naming the engine, got %v", err)
+	}
+
+	// The gradient pair is gated like the forward pair.
+	gradOld := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 1},
+	}}
+	gradSlow := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 3},
+	}}
+	if err := GateFFTSweeps(gradOld, gradSlow, 25); err == nil || !strings.Contains(err.Error(), "batch-grad") {
+		t.Errorf("3x batched-gradient regression should fail the gate naming batch-grad, got %v", err)
+	}
+	if err := GateFFTSweeps(old, gradSlow, 25); err != nil {
+		t.Errorf("a baseline without gradient columns gates the forward pair only: %v", err)
 	}
 
 	// Engines absent from the baseline (zero seconds) are skipped, so the

@@ -10,7 +10,7 @@ import (
 // band of an m×m spectrum — at production sizes (P = 35, m = 1024) about 97%
 // of the rows an inverse FFT would be handed are exact zeros. A BandSpec
 // describes that populated band, and the pruned inverses (inversePruned
-// here, inversePruned4 in the batch) transform only the rows (and, inside
+// here, transform4 in the batch) transform only the rows (and, inside
 // each row and column, only the butterfly blocks) that can carry data.
 //
 // Bit-exactness: a skipped butterfly block would only ever combine inputs
@@ -272,6 +272,48 @@ func (p *Plan2) inverseBandColumn(m *grid.CMat, buf []complex128, x int, band Ba
 // non-bit-exact substitution of its default mode; see DESIGN.md, "FFT
 // engine".
 func (p *Plan2) ForwardReal(dst *grid.CMat, src *grid.Mat) {
+	if p.forwardRealRows(dst, src) <= 1 {
+		p.colPassSerial(dst, false, false)
+	} else {
+		p.colPassParallel(dst, false, false, p.workersFor(p.w))
+	}
+}
+
+// ForwardRealBand is ForwardReal for a consumer that reads only the band
+// columns |fx| ≤ half of the spectrum — ForwardEq7, whose kernel products
+// touch only the P×P band of the full-size mask spectrum. The row pass is
+// ForwardReal's, but only the 2·half+1 band columns are column-transformed,
+// so every band-column cell carries exactly ForwardReal's bits; the other
+// columns of dst are zeroed. A band covering the width runs ForwardReal.
+func (p *Plan2) ForwardRealBand(dst *grid.CMat, src *grid.Mat, half int) {
+	band := BandSpec{Half: half}
+	if band.Covers(p.w) {
+		p.ForwardReal(dst, src)
+		return
+	}
+	p.forwardRealRows(dst, src)
+	cols := band.Rows(p.w)
+	grid.ParallelFor(p.workersFor(cols), cols, func(o int) {
+		x := band.Row(o, p.w)
+		bp := p.colBufs.Get().(*[]complex128)
+		buf := *bp
+		for y := 0; y < p.h; y++ {
+			buf[y] = dst.Data[y*p.w+x]
+		}
+		p.colP.Forward(buf)
+		for y := 0; y < p.h; y++ {
+			dst.Data[y*p.w+x] = buf[y]
+		}
+		p.colBufs.Put(bp)
+	})
+	for y := 0; y < p.h; y++ {
+		clear(dst.Data[y*p.w+band.Half+1 : (y+1)*p.w-band.Half])
+	}
+}
+
+// forwardRealRows is the packed row pass of ForwardReal, writing the
+// row-transformed matrix into dst; it returns the worker count it used.
+func (p *Plan2) forwardRealRows(dst *grid.CMat, src *grid.Mat) int {
 	if src.W != p.w || src.H != p.h || dst.W != p.w || dst.H != p.h {
 		panic(fmt.Sprintf("fft: matrices %dx%d/%dx%d do not match plan %dx%d",
 			src.W, src.H, dst.W, dst.H, p.w, p.h))
@@ -302,11 +344,7 @@ func (p *Plan2) ForwardReal(dst *grid.CMat, src *grid.Mat) {
 		}
 		p.rowP.Forward(row)
 	}
-	if workers <= 1 {
-		p.colPassSerial(dst, false, false)
-	} else {
-		p.colPassParallel(dst, false, false, p.workersFor(p.w))
-	}
+	return workers
 }
 
 // forwardRealPair transforms source rows 2i and 2i+1 through one packed

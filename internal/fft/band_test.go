@@ -177,6 +177,43 @@ func TestForwardRealMatchesReference(t *testing.T) {
 	}
 }
 
+// ForwardRealBand reproduces ForwardReal's bits in every band column and
+// zeroes the rest, for every half-width up to and including a covering
+// band (which runs the full ForwardReal).
+func TestForwardRealBandBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []int{4, 16, 64, 128} {
+		plan, err := NewPlan2(m, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := grid.NewMat(m, m)
+		for i := range mask.Data {
+			mask.Data[i] = rng.Float64()
+		}
+		want := grid.NewCMat(m, m)
+		plan.ForwardReal(want, mask)
+		for half := 0; half <= m/2; half++ {
+			got := randCMatFFT(rng, m, m) // stale contents must be overwritten
+			plan.ForwardRealBand(got, mask, half)
+			band := BandSpec{Half: half}
+			for y := 0; y < m; y++ {
+				for x := 0; x < m; x++ {
+					g, w := got.Data[y*m+x], want.Data[y*m+x]
+					inBand := x <= half || x >= m-half || band.Covers(m)
+					if !inBand {
+						w = 0
+					}
+					if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+						math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+						t.Fatalf("m=%d half=%d cell (%d,%d): got %v, want %v (in band: %v)", m, half, y, x, g, w, inBand)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestForwardRealZeroMaskIsExactlyZero(t *testing.T) {
 	const m = 32
 	plan, err := NewPlan2(m, m)

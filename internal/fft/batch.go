@@ -159,7 +159,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 					slab[ox*4+j] = scale * kd[ky+fx+half] * sd[sy*n+sx]
 				}
 			}
-			p.rowP.inversePruned4(slab, rowBT)
+			p.rowP.transform4(slab, p.rowP.tab.twidI, rowBT)
 		}
 		if herm {
 			// After the row transform, row(-fy)[x] = conj(row(fy)[x]) for a
@@ -229,7 +229,7 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, inte
 			for y := half + 1; y < m-half; y++ {
 				cb[y*4], cb[y*4+1], cb[y*4+2], cb[y*4+3] = 0, 0, 0, 0
 			}
-			p.colP.inversePruned4(cb, b.colBT)
+			p.colP.transform4(cb, p.colP.tab.twidI, b.colBT)
 			if outs != nil {
 				od := outs[k].Data
 				for y := 0; y < m; y++ {
@@ -257,13 +257,16 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, inte
 	p.biPool.Put(b)
 }
 
-// inversePruned4 is inversePruned over four interleaved lanes: x holds 4·N
-// values laid out x[4·i+lane], and each lane undergoes exactly the
-// per-element operation sequence of the one-lane transform — same stage
-// order, same twiddles, same skipped blocks — so each lane's result is
-// bit-identical to inversePruned on that lane alone. No normalisation
-// (batch callers fold it via FoldInverseScale). A nil bt runs all blocks.
-func (p *Plan) inversePruned4(x []complex128, bt *bandTable) {
+// transform4 is the one-lane butterfly loop of Plan.transform over four
+// interleaved lanes: x holds 4·N values laid out x[4·i+lane], and each lane
+// undergoes exactly the per-element operation sequence of the one-lane
+// transform — same bit-reversal, stage order, twiddles and skipped blocks —
+// so each lane's result is bit-identical to that transform on the lane
+// alone. twid picks the direction: tab.twidI gives the pruned inverse
+// (inversePruned per lane; the batched SOCS), tab.twidF with a nil bt gives
+// Forward per lane (the batched adjoint). No normalisation (batch callers
+// fold it via FoldInverseScale). A nil bt runs all blocks.
+func (p *Plan) transform4(x []complex128, twid []complex128, bt *bandTable) {
 	if len(x) != 4*p.n {
 		panic(fmt.Sprintf("fft: buffer length %d != 4×plan length %d", len(x), p.n))
 	}
@@ -284,7 +287,7 @@ func (p *Plan) inversePruned4(x []complex128, bt *bandTable) {
 	for s := 1; s <= p.logN; s++ {
 		m := 1 << (s - 1) // half block
 		blk := m << 1
-		tw := p.tab.twidI[p.tab.stageAt[s] : p.tab.stageAt[s]+m]
+		tw := twid[p.tab.stageAt[s] : p.tab.stageAt[s]+m]
 		var sm *stageMask
 		if bt != nil {
 			sm = &bt.stages[s-1]

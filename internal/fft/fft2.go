@@ -31,6 +31,9 @@ type Plan2 struct {
 	// single-use by contract, so InverseColumns returns it here and the
 	// chunked gradient's repeated MulRowsBatch calls stop allocating it.
 	biPool sync.Pool
+	// adjBufs recycles the per-kernel band-column slab of AdjointPatches;
+	// its size follows the kernel support, so entries grow on demand.
+	adjBufs sync.Pool
 }
 
 // NewPlan2 creates a 2-D plan for w×h matrices.
@@ -56,6 +59,7 @@ func NewPlan2(w, h int) (*Plan2, error) {
 	p.colBufs4.New = func() any { b := make([]complex128, 4*h); return &b }
 	p.intBufs.New = func() any { b := make([]float64, 4*h); return &b }
 	p.biPool.New = func() any { return new(BatchInverse) }
+	p.adjBufs.New = func() any { b := []complex128(nil); return &b }
 	return p, nil
 }
 

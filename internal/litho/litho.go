@@ -173,7 +173,7 @@ func (s *Sim) kernelWorkers(k int) int {
 // otherwise the gradient pass recomputes each amplitude from Spec.
 type Field struct {
 	M         int          // working grid size
-	Spec      *grid.CMat   // unnormalised FFT of the input mask, m×m
+	Spec      *grid.CMat   // unnormalised FFT of the input mask (n×n; under EngineBatch, ForwardEq7 fills only the kernel-band columns)
 	Amps      []*grid.CMat // per-kernel amplitude fields A_k, or nil
 	Intensity *grid.Mat    // aerial image including the dose factor
 	Dose      float64
@@ -195,13 +195,20 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 
 // maskSpectrum computes the unnormalised FFT of the mask under the active
 // engine: the batch engine packs the real input two-for-one (ForwardReal),
-// the reference runs the dense transform.
-func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
+// the reference runs the dense transform. half ≥ 0 declares that the
+// caller reads only the spectrum columns |fx| ≤ half (ForwardEq7), so the
+// batch engine column-transforms only those (ForwardRealBand, same bits in
+// the band); half < 0 asks for the whole spectrum.
+func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, half int) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
 	if s.Engine == EngineBatch {
 		spec := grid.NewCMat(mask.W, mask.H)
-		plan.ForwardReal(spec, mask)
+		if half >= 0 {
+			plan.ForwardRealBand(spec, mask, half)
+		} else {
+			plan.ForwardReal(spec, mask)
+		}
 		return spec
 	}
 	spec := grid.ComplexFromReal(mask)
@@ -322,7 +329,7 @@ func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAm
 	if err != nil {
 		return nil, err
 	}
-	spec := s.maskSpectrum(plan, mask)
+	spec := s.maskSpectrum(plan, mask, -1)
 
 	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
 	if keepAmps {
@@ -364,7 +371,8 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 	if err != nil {
 		return nil, err
 	}
-	spec := s.maskSpectrum(planN, mask)
+	// Eq. 7 multiplies only the P×P kernel band of the full-size spectrum.
+	spec := s.maskSpectrum(planN, mask, ks.P/2)
 
 	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
 	sc := complex(1/float64(scale*scale), 0)
@@ -379,10 +387,16 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //	dL/dM = Σ_k 2·w_k·dose · Re[ F⁻¹( conj(H_k) ⊙ F( dLdI ⊙ A_k ) ) ].
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
-// the retained mask spectrum. The kernel-adjoint products are computed in
-// parallel as dense P×P patches and folded into the frequency-domain
+// the retained mask spectrum. Each kernel contributes a dense P×P
+// frequency patch; the patches are folded into the frequency-domain
 // accumulator in ascending k, so only one final inverse FFT is needed and
 // the result is bit-identical for every worker count.
+//
+// Lanes: EngineBatch computes the patches with fft.AdjointPatches
+// (batchAdjoint), which runs only the band-column transforms the patch
+// reads; EngineReference, and the layouts the batch declines, run the
+// dense per-kernel Forward + KernelAdjointPatch (adjointPatch). Both lanes
+// produce the same patch bits from the same amplitudes.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
 		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
@@ -411,9 +425,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	}
 	patchesp, patches := s.kscratch.Get(nk)
-	if f.Amps == nil && s.Engine == EngineBatch && s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers) {
-		// Amplitudes recomputed in batched chunks, patches filled.
-	} else {
+	if s.Engine != EngineBatch || !s.batchAdjoint(f, plan, dLdI, patches, ampScale, workers) {
 		grid.ParallelFor(workers, nk, func(k int) {
 			var amp *grid.CMat
 			if f.Amps != nil {
@@ -458,63 +470,76 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	return out, nil
 }
 
-// adjointPatch computes one kernel's adjoint contribution: B_k = dLdI ⊙ A_k,
-// its forward transform, and the P×P frequency patch weighted by
-// 2·w_k·dose with the final inverse's 1/m² folded in.
+// patchScale is kernel k's adjoint patch weight 2·w_k·dose with the final
+// inverse's 1/m² folded in — shared by both lanes so their patches agree
+// bit-for-bit.
+func patchScale(f *Field, k int) complex128 {
+	return fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
+}
+
+// adjointPatch is the dense lane's per-kernel adjoint contribution:
+// B_k = dLdI ⊙ A_k, its full forward transform, and the P×P frequency
+// patch weighted by patchScale.
 func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
 	prod := s.cscratch.Get(f.M, f.M)
 	for i, v := range amp.Data {
 		prod.Data[i] = v * complex(dLdI.Data[i], 0)
 	}
 	plan.Forward(prod)
-	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
-	patch := fft.KernelAdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], w)
+	patch := fft.KernelAdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], patchScale(f, k))
 	s.cscratch.Put(prod)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose: Gradient owns it for the duration of the fold loop and Puts every entry of patches right after AddKernelPatch
 	return patch
 }
 
-// batchAdjointPatches is the EngineBatch lane of the gradient's
-// amplitude-recompute path: amplitudes are regenerated through
-// MulRowsBatch/InverseColumns in chunks (bounding the live amplitude
-// memory to ~chunk·m² complex values instead of nk·m²), then each chunk's
-// adjoint patches are computed in parallel. Patch values are bit-identical
-// to the per-kernel lane — the batch reproduces its amplitude bits, and
-// the patch arithmetic is shared (adjointPatch). Reports false when the
-// batch layout does not apply.
-func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
+// batchAdjoint is the EngineBatch lane of Gradient: fft.AdjointPatches
+// turns amplitudes into patches with only the band-column transforms the
+// patch reads. Kept amplitudes go through it in one call; otherwise the
+// amplitudes are regenerated through MulRowsBatch/InverseColumns in chunks
+// (bounding the live amplitude memory to ~chunk·m² complex values instead
+// of nk·m²) and each chunk goes through the same call. The batch
+// reproduces the dense lane's amplitude bits and AdjointPatches its patch
+// bits, so both paths match the dense lane exactly. Reports false, with
+// patches left nil, when the batch layout does not apply.
+func (s *Sim) batchAdjoint(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
 	ks := f.KS
 	nk := len(ks.Kernels)
-	chunk := workers
-	if chunk < 4 {
-		chunk = 4
+	// Per-kernel patch weights, leased as one pooled 1×nk complex row.
+	scales := s.cscratch.Get(nk, 1)
+	for k := range patches {
+		patches[k] = s.cscratch.Get(ks.P, ks.P)
+		scales.Data[k] = patchScale(f, k)
 	}
-	if chunk > nk {
-		chunk = nk
-	}
-	ampsp, amps := s.kscratch.Get(chunk)
-	for i := range amps {
-		amps[i] = s.cscratch.Get(f.M, f.M)
-	}
-	defer func() {
+	ok := true
+	if f.Amps != nil {
+		ok = plan.AdjointPatches(patches, f.Amps, dLdI, ks.Kernels, scales.Data, workers)
+	} else {
+		chunk := min(max(workers, 4), nk)
+		ampsp, amps := s.kscratch.Get(chunk)
+		for i := range amps {
+			amps[i] = s.cscratch.Get(f.M, f.M)
+		}
+		for c0 := 0; ok && c0 < nk; c0 += chunk {
+			c1 := min(c0+chunk, nk)
+			b := plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, true, workers)
+			if b == nil {
+				ok = false // layout constraint: fails on the first chunk or never
+				break
+			}
+			b.InverseColumns(amps[:c1-c0], nil, nil)
+			ok = plan.AdjointPatches(patches[c0:c1], amps[:c1-c0], dLdI, ks.Kernels[c0:c1], scales.Data[c0:c1], workers)
+		}
 		for i := range amps {
 			s.cscratch.Put(amps[i])
 		}
 		s.kscratch.Put(ampsp)
-	}()
-	for c0 := 0; c0 < nk; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > nk {
-			c1 = nk
-		}
-		b := plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, true, workers)
-		if b == nil {
-			return false // layout constraint: fails on the first chunk or never
-		}
-		b.InverseColumns(amps[:c1-c0], nil, nil)
-		grid.ParallelFor(workers, c1-c0, func(j int) {
-			patches[c0+j] = s.adjointPatch(f, plan, amps[j], dLdI, c0+j)
-		})
 	}
-	return true
+	s.cscratch.Put(scales)
+	if !ok {
+		for k := range patches {
+			s.cscratch.Put(patches[k])
+			patches[k] = nil
+		}
+	}
+	return ok
 }

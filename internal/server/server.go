@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,6 +72,11 @@ type Server struct {
 	draining  atomic.Bool
 	executors sync.WaitGroup
 	accepted  sync.WaitGroup // one unit per accepted, not-yet-terminal job
+
+	// faultHook, when non-nil, edits each job's optimizer options just
+	// before the run: the fault-injection seam of the panic-isolation
+	// tests (set through export_test.go before the first submission).
+	faultHook func(*core.Options)
 }
 
 // New builds a Server and starts its executor pool. Callers must Drain
@@ -100,6 +106,8 @@ func New(cfg Config) *Server {
 		histRun:       rec.Histogram("server.run", telemetry.HistDuration),
 		histSSEFlush:  rec.Histogram("server.sse_flush", telemetry.HistDuration),
 	}
+	// Registered at zero so ilt_job_panics_total is exported from boot.
+	rec.Add("job_panics", 0)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs", s.handleList)
@@ -291,8 +299,14 @@ func (s *Server) executor() {
 // runJob executes one job end to end on the calling executor goroutine.
 // Everything it constructs — process, simulator, optimizer — is private to
 // the job; the only shared inputs are the immutable kernel model, the
-// singleflight plan cache and the server recorder's atomic counters.
+// singleflight plan cache and the server recorder's atomic counters. A
+// panic anywhere in the job fails that job alone (failPanicked).
 func (s *Server) runJob(j *Job) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.failPanicked(j, r)
+		}
+	}()
 	rec := j.rec
 	spec := j.spec
 	rec.Emit("run.start", telemetry.Fields{
@@ -331,6 +345,9 @@ func (s *Server) runJob(j *Job) {
 		opts.Penalties = append(opts.Penalties, core.CurvaturePenalty{Lambda: spec.Req.Curvature})
 	}
 
+	if s.faultHook != nil {
+		s.faultHook(&opts)
+	}
 	o, err := core.New(opts, spec.Target)
 	if err != nil {
 		s.finishJob(j, StateFailed, err.Error(), nil, nil)
@@ -392,6 +409,21 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, res *JobResult
 	case StateCanceled:
 		s.rec.Add("server.jobs_canceled", 1)
 	}
+}
+
+// failPanicked ends a job whose run panicked — in the optimizer, the
+// simulator, or a worker panic that grid.ParallelFor re-raised on the
+// executor: the panic value and stack go into the job's event log as a
+// job.panic event, the job fails with the reason "panic: <value>", and
+// ilt_job_panics_total counts it. The executor then takes the next job;
+// no state is shared with it beyond the immutable model and plan caches.
+func (s *Server) failPanicked(j *Job, r any) {
+	s.rec.Add("job_panics", 1)
+	if j.State().Terminal() {
+		return // the panic came after the job was already finished
+	}
+	j.rec.Emit("job.panic", telemetry.Fields{"value": fmt.Sprint(r), "stack": string(debug.Stack())})
+	s.finishJob(j, StateFailed, fmt.Sprintf("panic: %v", r), nil, nil)
 }
 
 func epeParams(pixelNM float64) (spacingPx, thrPx int) {
