@@ -19,40 +19,41 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Observability lane (runs alongside race): a small end-to-end iltopt run
-# with tracing on, then tracecheck re-validates the JSONL schema, the
-# phase-timer wall-clock coverage and the run manifest.
-# The default batch engine records litho.socs around its row pass and
-# litho.fft_inverse around its column pass at any worker count, so the
-# validated trace exercises the full phase vocabulary on any host;
-# -workers 1 just keeps the small run single-threaded.
-trace-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
-		-workers 1 -recipe exact -trace artifacts/trace_smoke.jsonl -progress \
-		-manifest artifacts/trace_smoke_manifest.json
-	$(GO) run ./cmd/tracecheck -trace artifacts/trace_smoke.jsonl \
-		-manifest artifacts/trace_smoke_manifest.json
-
-# Trace-analytics lane: a short deterministic optimization writes a trace,
-# tracecheck validates its schema, tracestat renders the analytics report
-# into artifacts/, and the compare gate proves the regression detector
-# works — the committed A/B fixture pair carries an injected +20% per-call
-# slowdown in litho.socs, so `tracestat -compare` MUST exit 2 (any other
-# status, including 0, fails the lane).
-# (tracestat is run as a built binary, not via `go run`: go run collapses
-# the program's exit status to 1, which would defeat the exit-2 assertion.)
+# The trace lanes run tracestat as a built binary, not via `go run`: go
+# run collapses the program's exit status to 1, which would defeat the
+# exit-2 assertion of the compare gate below.
 TRACESTAT := $(BIN_DIR)/tracestat
 
 $(TRACESTAT): FORCE
 	@mkdir -p $(BIN_DIR)
 	$(GO) build -o $(TRACESTAT) ./cmd/tracestat
 
+# Observability lane (runs alongside race): a small end-to-end iltopt run
+# with tracing on, then `tracestat -check` re-validates the JSONL schema,
+# the phase-timer wall-clock coverage and the run manifest.
+# The default batch engine records litho.socs around its row pass and
+# litho.fft_inverse around its column pass at any worker count, so the
+# validated trace exercises the full phase vocabulary on any host;
+# -workers 1 just keeps the small run single-threaded.
+trace-smoke: $(TRACESTAT)
+	mkdir -p artifacts
+	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
+		-workers 1 -recipe exact -trace artifacts/trace_smoke.jsonl -progress \
+		-manifest artifacts/trace_smoke_manifest.json
+	$(TRACESTAT) -check -manifest artifacts/trace_smoke_manifest.json \
+		artifacts/trace_smoke.jsonl
+
+# Trace-analytics lane: a short deterministic optimization writes a trace,
+# `tracestat -check` validates its schema, tracestat renders the analytics
+# report into artifacts/, and the compare gate proves the regression detector
+# works — the committed A/B fixture pair carries an injected +20% per-call
+# slowdown in litho.socs, so `tracestat -compare` MUST exit 2 (any other
+# status, including 0, fails the lane).
 trace-stat: $(TRACESTAT)
 	mkdir -p artifacts
 	$(GO) run ./cmd/iltopt -case 1 -n 128 -field 512 -kernels 8 -iterdiv 10 \
 		-workers 1 -recipe fast -trace artifacts/trace_stat.jsonl
-	$(GO) run ./cmd/tracecheck -trace artifacts/trace_stat.jsonl -min-coverage 0
+	$(TRACESTAT) -check -min-coverage 0 artifacts/trace_stat.jsonl
 	$(TRACESTAT) artifacts/trace_stat.jsonl | tee artifacts/trace_stat_report.txt
 	$(TRACESTAT) -compare \
 		internal/tracestat/testdata/compare_old.jsonl \

@@ -82,7 +82,8 @@ func TestCLIEndToEnd(t *testing.T) {
 
 // TestTracestatCLI drives the trace-analytics tool the way the trace-stat
 // lane does: report a real optimizer trace, then gate an A/B pair with a
-// known injected slowdown — which must exit with the dedicated code 2.
+// known injected slowdown — which must exit with the dedicated code 2 —
+// and validate the trace with -check, which must reject a broken seq.
 func TestTracestatCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration builds binaries; skipped in -short mode")
@@ -144,5 +145,36 @@ func TestTracestatCLI(t *testing.T) {
 		"internal/tracestat/testdata/compare_new.jsonl", "-threshold", "25%")
 	if out, err := ok.CombinedOutput(); err != nil {
 		t.Fatalf("compare at 25%%: %v\n%s", err, out)
+	}
+
+	// Check mode: the optimizer's own trace validates, with the phase
+	// coverage inside the default bound.
+	chk := exec.Command(filepath.Join(bin, "tracestat"), "-check", trace)
+	out, err = chk.CombinedOutput()
+	if err != nil {
+		t.Fatalf("tracestat -check: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "phase coverage:") {
+		t.Errorf("check output missing the coverage line:\n%s", out)
+	}
+
+	// The same trace with one line's seq altered breaks the contiguous
+	// sequence and must fail with exit 1.
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	if len(lines) < 3 || !strings.Contains(lines[1], `"seq":2`) {
+		t.Fatalf("trace line 2 carries no \"seq\":2: %q", lines[1])
+	}
+	lines[1] = strings.Replace(lines[1], `"seq":2`, `"seq":7`, 1)
+	bad := filepath.Join(work, "bad.jsonl")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(filepath.Join(bin, "tracestat"), "-check", bad).CombinedOutput()
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("check of an altered seq: exit = %v, want exit code 1\n%s", err, out)
 	}
 }

@@ -1,16 +1,24 @@
-// Command tracestat analyzes the JSONL traces the instrumented pipeline
-// writes (iltopt -trace, tracecheck-validated streams): per-phase wall-time
-// tables with a critical-path summary, per-iteration latency quantiles and
-// loss/step/retry series, and the latency-histogram summaries the recorder
-// flushes at close.
+// Command tracestat analyzes and validates the JSONL traces the
+// instrumented pipeline writes (iltopt -trace, iltserver SSE streams):
+// per-phase wall-time tables with a critical-path summary, per-iteration
+// latency quantiles and loss/step/retry series, and the latency-histogram
+// summaries the recorder flushes at close.
 //
 //	tracestat run.jsonl                                  # analytics report
 //	tracestat -compare old.jsonl new.jsonl -threshold 10%
+//	tracestat -check -manifest run_manifest.json run.jsonl
 //
 // Compare mode gates on the per-call mean of each phase shared by both
 // traces and exits 2 when any phase slowed by at least the threshold, so a
-// CI lane can diff a PR's trace against a baseline. Exit codes: 0 clean,
-// 1 usage or read error, 2 regression detected.
+// CI lane can diff a PR's trace against a baseline.
+//
+// Check mode re-validates the event schema and the tile-sweep order
+// (telemetry.ValidateTrace), bounds the summed phase seconds against the
+// run.end wall time (-min-coverage 0 disables the bound), and summarizes
+// the -manifest run manifest; either input may be omitted.
+//
+// Exit codes: 0 clean, 1 usage, read or check failure, 2 regression
+// detected.
 package main
 
 import (
@@ -18,6 +26,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/telemetry"
 	"repro/internal/tracestat"
 )
 
@@ -34,9 +43,14 @@ func run(argv []string) (int, error) {
 	fs.SetOutput(os.Stderr)
 	compare := fs.Bool("compare", false, "A/B mode: compare two traces (old new)")
 	threshold := fs.String("threshold", "10%", "per-phase mean slowdown that counts as a regression (\"10%\" or \"0.1\")")
+	check := fs.Bool("check", false, "validate mode: check a trace's schema and phase coverage, and/or a run manifest")
+	manifest := fs.String("manifest", "", "with -check: run manifest to validate")
+	minCov := fs.Float64("min-coverage", 0.8, "with -check: minimum phase-sec / wall-sec ratio (0 disables the bound)")
+	maxCov := fs.Float64("max-coverage", 1.25, "with -check: maximum phase-sec / wall-sec ratio (concurrent phases can exceed 1)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: tracestat [flags] trace.jsonl")
 		fmt.Fprintln(os.Stderr, "       tracestat -compare [flags] old.jsonl new.jsonl")
+		fmt.Fprintln(os.Stderr, "       tracestat -check [-manifest m.json] [-min-coverage 0.8] [-max-coverage 1.25] [trace.jsonl]")
 		fs.PrintDefaults()
 	}
 
@@ -55,6 +69,21 @@ func run(argv []string) (int, error) {
 		}
 		files = append(files, args[0])
 		args = args[1:]
+	}
+
+	if *check {
+		if *compare || len(files) > 1 {
+			fs.Usage()
+			return 1, fmt.Errorf("-check takes at most one trace and no -compare")
+		}
+		var trace string
+		if len(files) == 1 {
+			trace = files[0]
+		}
+		if err := runCheck(trace, *manifest, *minCov, *maxCov); err != nil {
+			return 1, err
+		}
+		return 0, nil
 	}
 
 	if *compare {
@@ -92,4 +121,58 @@ func run(argv []string) (int, error) {
 	}
 	tracestat.Render(os.Stdout, t)
 	return 0, nil
+}
+
+// runCheck validates a trace and/or a run manifest, printing one summary
+// line for each and the phase coverage when the bound applies.
+func runCheck(trace, manifest string, minCov, maxCov float64) error {
+	if trace == "" && manifest == "" {
+		return fmt.Errorf("nothing to check: pass a trace and/or -manifest")
+	}
+
+	if trace != "" {
+		f, err := os.Open(trace)
+		if err != nil {
+			return err
+		}
+		stats, err := telemetry.ValidateTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", trace, err)
+		}
+		fmt.Printf("%s: %d events, %d iterations over %d stages, %d tiles, %d phases\n",
+			trace, stats.Events, stats.Iters, len(stats.StagesOpened), stats.Tiles, stats.Phases)
+		if stats.WallSec > 0 && minCov > 0 {
+			cov := stats.Coverage()
+			fmt.Printf("phase coverage: %.3fs of %.3fs wall = %.1f%%\n",
+				stats.PhaseSec, stats.WallSec, 100*cov)
+			if cov < minCov || cov > maxCov {
+				return fmt.Errorf("%s: phase coverage %.2f outside [%.2f, %.2f]",
+					trace, cov, minCov, maxCov)
+			}
+		}
+	}
+
+	if manifest != "" {
+		man, err := telemetry.ReadManifest(manifest)
+		if err != nil {
+			return fmt.Errorf("%s: %w", manifest, err)
+		}
+		fmt.Printf("%s: tool %s, rev %s, host %s/%s ×%d, %.3fs, %d phases\n",
+			manifest, man.Tool, shortRev(man.GitRevision), man.Host.OS, man.Host.Arch,
+			man.Host.NumCPU, man.DurationSec, len(man.Phases))
+	}
+	return nil
+}
+
+func shortRev(rev string) string {
+	if rev == "" {
+		return "unknown"
+	}
+	if len(rev) > 12 {
+		return rev[:12]
+	}
+	return rev
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/grid"
@@ -24,8 +25,6 @@ type Options struct {
 	// binarization (paper: 0.4, smaller than the optimization T_R so weak
 	// SRAFs survive Eq. 12).
 	OutputTR float64
-	// FinalThreshold is t_m of Eq. (12).
-	FinalThreshold float64
 	// LearningRate is the gradient-descent step (paper's ablation: 1).
 	LearningRate float64
 	// SmoothWindow is the stride-1 average-pooling window applied to the
@@ -51,9 +50,6 @@ type Options struct {
 	// Z_norm (nominal dose) to the target, costing a third simulation per
 	// iteration. The paper's shortcut (off) uses Z_out instead.
 	UseNominalL2 bool
-	// KeepAmpsLimit caches per-kernel amplitudes for gradient reuse when
-	// the working grid is at most this size (memory/speed trade-off).
-	KeepAmpsLimit int
 	// GradHook, when set, can reshape the raw dL/dM′ in place before the
 	// region mask and the update are applied. Baselines use it to inject
 	// their gradient conditioning (e.g. A2-ILT's spatial attention).
@@ -80,15 +76,18 @@ type Options struct {
 // DefaultOptions returns the paper's settings over a process.
 func DefaultOptions(p *litho.Process) Options {
 	return Options{
-		Process:        p,
-		Binary:         mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0.5},
-		OutputTR:       0.4,
-		FinalThreshold: mask.DefaultFinalThreshold,
-		LearningRate:   1,
-		SmoothWindow:   3,
-		KeepAmpsLimit:  256,
+		Process:      p,
+		Binary:       mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0.5},
+		OutputTR:     0.4,
+		LearningRate: 1,
+		SmoothWindow: 3,
 	}
 }
+
+// keepAmpsLimit is the largest working-grid side for which the forward
+// pass caches per-kernel amplitudes for gradient reuse (memory/speed
+// trade-off).
+const keepAmpsLimit = 256
 
 // Stage is one level of the multi-level schedule.
 type Stage struct {
@@ -231,9 +230,9 @@ func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	if sig, ok := o.opts.Binary.(mask.Sigmoid); ok {
 		// The paper's two-T_R scheme: regenerate with the (smaller) output
 		// T_R before the hard threshold so weak SRAFs survive.
-		res.Mask = mask.FinalOutput(res.Params, sig.Beta, o.opts.OutputTR, o.opts.FinalThreshold)
+		res.Mask = mask.FinalOutput(res.Params, sig.Beta, o.opts.OutputTR, mask.DefaultFinalThreshold)
 	} else {
-		res.Mask = mask.Binarize(o.opts.Binary.Apply(res.Params), o.opts.FinalThreshold)
+		res.Mask = mask.Binarize(o.opts.Binary.Apply(res.Params), mask.DefaultFinalThreshold)
 	}
 	if o.opts.Region != nil {
 		// Pixels outside the optimizing region are never opened.
@@ -323,6 +322,14 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 		if err != nil {
 			return nil, err
 		}
+		// Checked before the update and the iter event: no step from a
+		// non-finite loss means anything, and JSON cannot encode NaN.
+		if loss := terms.Total(); math.IsNaN(loss) || math.IsInf(loss, 0) {
+			if rec.Enabled() {
+				rec.Emit("stage.diverged", telemetry.Fields{"stage": stageIdx, "iter": it, "scale": st.Scale})
+			}
+			return nil, &DivergenceError{Stage: stageIdx, Iter: it, Scale: st.Scale}
+		}
 		if o.opts.GradHook != nil {
 			o.opts.GradHook(g, st)
 		}
@@ -386,6 +393,17 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 	return best, nil
 }
 
+// A DivergenceError reports an iteration whose Eq. (5) loss total was NaN
+// or ±Inf. Run stops at the first such iteration and returns it wrapped
+// with the stage index; match it with errors.As.
+type DivergenceError struct {
+	Stage, Iter, Scale int
+}
+
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("loss diverged (NaN or Inf) at iteration %d, scale %d", e.Iter, e.Scale)
+}
+
 // lineSearchStep applies the backtracking rule of [12]: starting from the
 // configured learning rate, halve the step until the loss at the candidate
 // parameters drops below the current loss (up to 4 halvings); the final
@@ -435,7 +453,7 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		sim = grid.SmoothPool(ms, o.opts.SmoothWindow)
 		smoothed = true
 	}
-	keep := wantGrad && sim.W <= o.opts.KeepAmpsLimit
+	keep := wantGrad && sim.W <= keepAmpsLimit
 
 	terms, corners, err := o.simulateLoss(sim, ztS, keep)
 	if err != nil {
@@ -472,7 +490,7 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 
 	// Line 7: M = Upsample(M_s).
 	m := grid.UpsampleNearest(ms, s)
-	keep := wantGrad && m.W <= o.opts.KeepAmpsLimit
+	keep := wantGrad && m.W <= keepAmpsLimit
 
 	// Lines 8–9 fold into simulateLoss: exact simulation at full size with
 	// the wafer images pooled down before the loss; the pooling adjoint is

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
 
@@ -94,5 +97,46 @@ func TestRunWithoutRecorder(t *testing.T) {
 	}
 	if len(res.History) != 2 {
 		t.Fatalf("history %d, want 2", len(res.History))
+	}
+}
+
+// nanPenalty makes every loss total NaN.
+type nanPenalty struct{}
+
+func (nanPenalty) Name() string { return "nan" }
+func (nanPenalty) Eval(m *grid.Mat) (float64, *grid.Mat) {
+	return math.NaN(), grid.NewMat(m.W, m.H)
+}
+
+// A non-finite loss stops Run at that iteration with a typed
+// DivergenceError, after a stage.diverged event and before any iter event
+// or parameter update.
+func TestRunDivergenceFailsLoudly(t *testing.T) {
+	sink := &eventSink{}
+	opts := DefaultOptions(process(t))
+	opts.Recorder = telemetry.New(telemetry.WithSink(sink))
+	opts.Penalties = []Penalty{nanPenalty{}}
+	o, err := New(opts, testTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = o.Run(context.Background(), []Stage{{Scale: 4, Iters: 3}})
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run error = %v, want a *DivergenceError", err)
+	}
+	if *de != (DivergenceError{Stage: 0, Iter: 0, Scale: 4}) {
+		t.Errorf("DivergenceError = %+v, want stage 0, iter 0, scale 4", *de)
+	}
+	var order []string
+	for _, e := range sink.events {
+		order = append(order, e.Name)
+	}
+	if len(order) != 2 || order[0] != "stage.start" || order[1] != "stage.diverged" {
+		t.Fatalf("event order %v, want [stage.start stage.diverged]", order)
+	}
+	f := sink.events[1].Fields
+	if f["stage"] != 0 || f["iter"] != 0 || f["scale"] != 4 {
+		t.Errorf("stage.diverged fields %v, want stage 0, iter 0, scale 4", f)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file builds the interprocedural substrate the cross-function
-// analyzers (gridres, leasepath, atomicfield) stand on: a call graph over
-// the loaded package set plus the bookkeeping needed to compute
-// per-function summaries bottom-up (see summary.go).
+// analyzers (gridres, leasepath, atomicfield and the concurrency rules)
+// stand on: a call graph over the loaded package set plus the bookkeeping
+// needed to compute the per-function summaries bottom-up (see summary.go).
 //
 // Identity. Packages are type-checked independently against compiler
 // export data (see load.go), so one function has *different* types.Func
@@ -74,12 +74,10 @@ type FuncInfo struct {
 	// Spawns reports whether the body contains any `go` statement.
 	Spawns bool
 
-	// Summary holds the bottom-up facts; populated by computeSummaries.
+	// Summary holds the bottom-up facts (leases, parameter calls, grid
+	// resolution, locks and sync operations); populated by
+	// computeSummaries.
 	Summary *Summary
-	// Conc holds the concurrency-protocol facts (locks acquired/held,
-	// WaitGroup parameter operations, unbounded loops); populated by
-	// computeConcSummaries. See concsummary.go.
-	Conc *ConcSummary
 }
 
 // A Program is the interprocedural view of one analysis run: every loaded
@@ -192,7 +190,6 @@ func BuildProgram(pkgs []*Package, fset *token.FileSet, dir string) *Program {
 	computeSummaries(prog)
 	prog.computeGoroutineReachable()
 	prog.computeServerReachable()
-	computeConcSummaries(prog)
 	collectConcFindings(prog, dir)
 	return prog
 }
@@ -492,33 +489,42 @@ func (p *Program) sortedFuncKeys() []FuncKey {
 }
 
 // sccOrder returns the strongly connected components of the static call
-// graph in bottom-up (callees before callers) order, via Tarjan's
-// algorithm seeded in sorted key order for determinism.
+// graph in bottom-up (callees before callers) order, seeded in sorted key
+// order for determinism.
 func (p *Program) sccOrder() [][]FuncKey {
-	index := map[FuncKey]int{}
-	low := map[FuncKey]int{}
-	onStack := map[FuncKey]bool{}
-	var stack []FuncKey
-	var sccs [][]FuncKey
+	return tarjan(p.sortedFuncKeys(), func(v FuncKey) []FuncKey {
+		callees := make([]FuncKey, 0, len(p.Funcs[v].Callees))
+		for c := range p.Funcs[v].Callees {
+			callees = append(callees, c)
+		}
+		sort.Slice(callees, func(i, j int) bool { return callees[i] < callees[j] })
+		return callees
+	})
+}
+
+// tarjan returns the strongly connected components of the graph that succ
+// describes, visiting roots and successors in the order given. Components
+// come out in reverse topological order of the condensation — every
+// component after the components it reaches — which is exactly the
+// bottom-up order summaries need.
+func tarjan[K comparable](roots []K, succ func(K) []K) [][]K {
+	index := map[K]int{}
+	low := map[K]int{}
+	onStack := map[K]bool{}
+	var stack []K
+	var sccs [][]K
 	next := 0
 
-	var strongconnect func(v FuncKey)
-	strongconnect = func(v FuncKey) {
+	var connect func(v K)
+	connect = func(v K) {
 		index[v] = next
 		low[v] = next
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-
-		fi := p.Funcs[v]
-		callees := make([]FuncKey, 0, len(fi.Callees))
-		for c := range fi.Callees {
-			callees = append(callees, c)
-		}
-		sort.Slice(callees, func(i, j int) bool { return callees[i] < callees[j] })
-		for _, w := range callees {
+		for _, w := range succ(v) {
 			if _, seen := index[w]; !seen {
-				strongconnect(w)
+				connect(w)
 				if low[w] < low[v] {
 					low[v] = low[w]
 				}
@@ -526,9 +532,8 @@ func (p *Program) sccOrder() [][]FuncKey {
 				low[v] = index[w]
 			}
 		}
-
 		if low[v] == index[v] {
-			var scc []FuncKey
+			var scc []K
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -541,13 +546,11 @@ func (p *Program) sccOrder() [][]FuncKey {
 			sccs = append(sccs, scc)
 		}
 	}
-	for _, k := range p.sortedFuncKeys() {
+	for _, k := range roots {
 		if _, seen := index[k]; !seen {
-			strongconnect(k)
+			connect(k)
 		}
 	}
-	// Tarjan emits components in reverse topological order of the
-	// condensation — exactly the bottom-up order summaries need.
 	return sccs
 }
 

@@ -10,11 +10,13 @@ import (
 )
 
 // This file is the concurrency-protocol substrate the serving-era rules
-// (lockorder, chanprotocol, wgmisuse, gorolife) stand on. It rides the same
-// Tarjan-SCC bottom-up machinery as summary.go: per-function ConcSummaries
-// are computed callees-first with an in-SCC fixpoint, then one final pass
-// folds every function's lock-acquisition order into a global lock-order
-// graph whose inversion cycles are reported as potential deadlocks.
+// (lockorder, chanprotocol, wgmisuse, gorolife) stand on. Its walker fills
+// the concurrency facts of each function's Summary (and the CallsParam
+// facts, in the same walk) inside the one bottom-up SCC fixpoint of
+// summary.go; after the fixpoint and the reachability floods, one final
+// pass re-walks every function against the converged summaries and folds
+// the lock-acquisition orders into a global lock-order graph whose
+// inversion cycles are reported as potential deadlocks.
 //
 // Lock identity. Mutexes are keyed by stable source paths, not instances:
 // a field lock is "pkg/path.(Type).field", a package-level lock is
@@ -33,66 +35,6 @@ import (
 // its own goroutine: it starts with an empty held set and its acquisitions
 // do not count as acquisitions of the spawning function (no ordering edge
 // exists between a spawner's locks and its goroutine's).
-
-// A ConcSummary is one function's bottom-up concurrency facts.
-type ConcSummary struct {
-	// Acquires maps every lock key the function may acquire — directly or
-	// through any in-module callee — to a witness position (the acquire
-	// site, or the call site that reaches it).
-	Acquires map[string]token.Pos
-	// HoldsOnExit maps lock keys that may still be held when the function
-	// returns (a Lock with no Unlock and no deferred Unlock): the
-	// "lock helper" shape callers must account for.
-	HoldsOnExit map[string]token.Pos
-	// SyncsParam[i] — the function (transitively) performs a sync
-	// operation (mutex Lock/RLock, WaitGroup Add/Wait/Done) on parameter i
-	// or one of its fields. wgmisuse uses it to flag lock-bearing values
-	// copied into a callee that then synchronizes on the copy.
-	SyncsParam []bool
-	// AddsWGParam[i] — the function (transitively) calls WaitGroup.Add on
-	// parameter i. Feeds the Add-inside-spawned-goroutine rule across
-	// calls.
-	AddsWGParam []bool
-	// Unbounded — some path may never return: an infinite `for` with no
-	// return/break/goto/panic escape, or a call to an unbounded callee.
-	// gorolife reports `go` sites whose target is unbounded.
-	Unbounded bool
-}
-
-func newConcSummary(n int) *ConcSummary {
-	return &ConcSummary{
-		Acquires:    map[string]token.Pos{},
-		HoldsOnExit: map[string]token.Pos{},
-		SyncsParam:  make([]bool, n),
-		AddsWGParam: make([]bool, n),
-	}
-}
-
-func (s *ConcSummary) equalConc(o *ConcSummary) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if len(s.Acquires) != len(o.Acquires) || len(s.HoldsOnExit) != len(o.HoldsOnExit) ||
-		s.Unbounded != o.Unbounded {
-		return false
-	}
-	for k := range s.Acquires {
-		if _, ok := o.Acquires[k]; !ok {
-			return false
-		}
-	}
-	for k := range s.HoldsOnExit {
-		if _, ok := o.HoldsOnExit[k]; !ok {
-			return false
-		}
-	}
-	for i := range s.SyncsParam {
-		if s.SyncsParam[i] != o.SyncsParam[i] || s.AddsWGParam[i] != o.AddsWGParam[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // A lockEdge is one witnessed acquisition order: while key From was held,
 // key To was acquired (directly, or through the call at Pos).
@@ -316,16 +258,14 @@ func cloneHeld(h map[string]heldLock) map[string]heldLock {
 	return c
 }
 
-// unionHeld merges two branch states under may-held semantics; a's witness
-// wins on conflict.
-func unionHeld(a, b map[string]heldLock) map[string]heldLock {
-	m := cloneHeld(a)
+// joinHeld merges branch state b into a under may-held semantics; a's
+// witness wins on conflict.
+func joinHeld(a, b map[string]heldLock) {
 	for k, v := range b {
-		if _, ok := m[k]; !ok {
-			m[k] = v
+		if _, ok := a[k]; !ok {
+			a[k] = v
 		}
 	}
-	return m
 }
 
 // sortedHeld returns the held keys in sorted order for deterministic edge
@@ -340,13 +280,22 @@ func sortedHeld(h map[string]heldLock) []string {
 }
 
 // A concWalker walks one function's body tracking the may-held lock set.
-// Phase one (emit=false) builds the ConcSummary; phase two (emit=true)
+// Phase one (emit=false) fills the concurrency and CallsParam facts of the
+// function's Summary inside the summary fixpoint; phase two (emit=true)
 // re-walks against converged summaries, recording lock-order edges and
 // held-across-blocking findings.
+//
+// The CallsParam facts cover every call in the body, including the
+// sub-trees the lock walk skips (a call's function expression, switch case
+// lists, range keys, a deferred call, a go'd literal's arguments). Those
+// are walked in param-only mode, which records CallsParam facts and
+// nothing else. A go statement's target, its arguments and a go'd
+// literal's body count as spawned for CallsParamGo; for the lock facts
+// only the go'd literal's body runs on the new goroutine.
 type concWalker struct {
 	prog *Program
 	fi   *FuncInfo
-	sum  *ConcSummary
+	sum  *Summary
 
 	emit         bool
 	serverReach  bool
@@ -354,9 +303,11 @@ type concWalker struct {
 	findings     *[]concFinding
 	deferRelease map[string]bool
 	noExit       int // >0 inside closures whose returns are not function exits
+	goArg        int // >0 inside a go statement's arguments or go'd literal
+	paramOnly    int // >0 inside sub-trees walked for CallsParam facts alone
 }
 
-func newConcWalker(prog *Program, fi *FuncInfo, sum *ConcSummary) *concWalker {
+func newConcWalker(prog *Program, fi *FuncInfo, sum *Summary) *concWalker {
 	return &concWalker{prog: prog, fi: fi, sum: sum, deferRelease: map[string]bool{}}
 }
 
@@ -432,29 +383,100 @@ func shortLockKey(key string) string {
 	return key
 }
 
-// markSyncParam records a sync operation on parameter i of the function.
-func (w *concWalker) markSyncParam(recv ast.Expr, wgAdd bool) {
-	obj := baseIdentObj(w.fi.Pkg.Info, recv)
+// paramOf returns the declared-parameter index that e names, or -1. When
+// direct, e itself must be the parameter; otherwise its base identifier
+// counts (&s.wg, s.mu and p[k] name s and p).
+func (w *concWalker) paramOf(e ast.Expr, direct bool) int {
+	info := w.fi.Pkg.Info
+	var obj types.Object
+	if direct {
+		id, ok := unparen(e).(*ast.Ident)
+		if !ok {
+			return -1
+		}
+		obj = info.ObjectOf(id)
+	} else {
+		obj = baseIdentObj(info, e)
+	}
 	if obj == nil {
-		return
+		return -1
 	}
-	i := paramIndex(w.fi.Pkg.Info, w.fi.Decl, obj)
-	if i < 0 {
-		return
+	return paramIndex(info, w.fi.Decl, obj)
+}
+
+// calleeParams maps a callee's parameter facts to the walked function's
+// parameters: it calls f(ai, i) for each argument ai of call that names
+// parameter i (see paramOf for direct).
+func (w *concWalker) calleeParams(call *ast.CallExpr, cs *Summary, direct bool, f func(ai, i int)) {
+	for ai, a := range call.Args {
+		if ai >= cs.NumParams {
+			break
+		}
+		if i := w.paramOf(a, direct); i >= 0 {
+			f(ai, i)
+		}
 	}
-	if i < len(w.sum.SyncsParam) {
+}
+
+// markSyncParam records a sync operation on the parameter recv names.
+func (w *concWalker) markSyncParam(recv ast.Expr, wgAdd bool) {
+	if i := w.paramOf(recv, false); i >= 0 {
 		w.sum.SyncsParam[i] = true
+		if wgAdd {
+			w.sum.AddsWGParam[i] = true
+		}
 	}
-	if wgAdd && i < len(w.sum.AddsWGParam) {
-		w.sum.AddsWGParam[i] = true
+}
+
+// paramCall records the CallsParam facts of one call: a parameter invoked
+// directly, or handed to a callee position the callee invokes. spawned
+// marks the call as running on a new goroutine.
+func (w *concWalker) paramCall(call *ast.CallExpr, spawned bool) {
+	if w.emit {
+		return
 	}
+	spawned = spawned || w.goArg > 0
+	if i := w.paramOf(call.Fun, true); i >= 0 {
+		w.sum.CallsParam[i] = true
+		if spawned {
+			w.sum.CallsParamGo[i] = true
+		}
+	}
+	cs := w.prog.SummaryFor(w.fi.Pkg, call)
+	if cs == nil {
+		return
+	}
+	w.calleeParams(call, cs, true, func(ai, i int) {
+		if cs.CallsParam[ai] {
+			w.sum.CallsParam[i] = true
+			if spawned || cs.CallsParamGo[ai] {
+				w.sum.CallsParamGo[i] = true
+			}
+		}
+	})
+}
+
+// paramOnlyExpr walks e in param-only mode. The mode has no lock or sync
+// effects, so held is left as it was.
+func (w *concWalker) paramOnlyExpr(e ast.Expr, held map[string]heldLock, spawned bool) {
+	if w.emit || e == nil {
+		return
+	}
+	w.paramOnly++
+	w.expr(e, held, spawned)
+	w.paramOnly--
 }
 
 // call processes one call expression against the current held set.
 func (w *concWalker) call(call *ast.CallExpr, held map[string]heldLock, spawned bool) {
 	info := w.fi.Pkg.Info
+	w.paramCall(call, spawned)
+	w.paramOnlyExpr(call.Fun, held, spawned)
 	for _, a := range call.Args {
 		w.expr(a, held, spawned)
+	}
+	if w.paramOnly > 0 {
+		return
 	}
 
 	if op, recv, ok := mutexOp(info, call); ok {
@@ -498,11 +520,10 @@ func (w *concWalker) call(call *ast.CallExpr, held map[string]heldLock, spawned 
 		return
 	}
 
-	callee := w.prog.Funcs[staticCalleeKey(info, call)]
-	if callee == nil || callee.Conc == nil {
+	cs := w.prog.SummaryFor(w.fi.Pkg, call)
+	if cs == nil {
 		return
 	}
-	cs := callee.Conc
 	if w.emit && len(held) > 0 && len(cs.Acquires) > 0 {
 		acq := make([]string, 0, len(cs.Acquires))
 		for k := range cs.Acquires {
@@ -532,26 +553,14 @@ func (w *concWalker) call(call *ast.CallExpr, held map[string]heldLock, spawned 
 		}
 	}
 	// Parameter sync facts travel through the call.
-	for ai, a := range call.Args {
-		if ai >= len(cs.SyncsParam) {
-			break
+	w.calleeParams(call, cs, false, func(ai, i int) {
+		if cs.SyncsParam[ai] {
+			w.sum.SyncsParam[i] = true
 		}
-		if !cs.SyncsParam[ai] && !cs.AddsWGParam[ai] {
-			continue
+		if cs.AddsWGParam[ai] {
+			w.sum.AddsWGParam[i] = true
 		}
-		obj := baseIdentObj(info, a)
-		if obj == nil {
-			continue
-		}
-		if i := paramIndex(info, w.fi.Decl, obj); i >= 0 {
-			if cs.SyncsParam[ai] && i < len(w.sum.SyncsParam) {
-				w.sum.SyncsParam[i] = true
-			}
-			if cs.AddsWGParam[ai] && i < len(w.sum.AddsWGParam) {
-				w.sum.AddsWGParam[i] = true
-			}
-		}
-	}
+	})
 }
 
 // expr walks an expression, dispatching calls, receives, and closures.
@@ -625,13 +634,11 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 		w.stmt(s.Body, thenHeld, spawned)
 		elseHeld := cloneHeld(held)
 		w.stmt(s.Else, elseHeld, spawned)
-		merged := unionHeld(thenHeld, elseHeld)
+		joinHeld(thenHeld, elseHeld)
 		for k := range held {
 			delete(held, k)
 		}
-		for k, v := range merged {
-			held[k] = v
-		}
+		joinHeld(held, thenHeld)
 	case *ast.ForStmt:
 		// An infinite loop makes this function unbounded only on its own
 		// control flow — not inside a spawned goroutine (that is the
@@ -645,28 +652,22 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 		body := cloneHeld(held)
 		w.stmt(s.Body, body, spawned)
 		w.stmt(s.Post, body, spawned)
-		for k, v := range body {
-			if _, ok := held[k]; !ok {
-				held[k] = v
-			}
-		}
+		joinHeld(held, body)
 	case *ast.RangeStmt:
+		w.paramOnlyExpr(s.Key, held, spawned)
+		w.paramOnlyExpr(s.Value, held, spawned)
 		w.expr(s.X, held, spawned)
 		body := cloneHeld(held)
 		w.stmt(s.Body, body, spawned)
-		for k, v := range body {
-			if _, ok := held[k]; !ok {
-				held[k] = v
-			}
-		}
+		joinHeld(held, body)
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, held, spawned)
 		w.expr(s.Tag, held, spawned)
-		w.caseArms(s.Body, held, spawned, nil)
+		w.caseArms(s.Body, held, spawned)
 	case *ast.TypeSwitchStmt:
 		w.stmt(s.Init, held, spawned)
 		w.stmt(s.Assign, held, spawned)
-		w.caseArms(s.Body, held, spawned, nil)
+		w.caseArms(s.Body, held, spawned)
 	case *ast.SelectStmt:
 		hasDefault := false
 		for _, c := range s.Body.List {
@@ -677,14 +678,12 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 		if !hasDefault {
 			w.blocking(s.Select, "select", held)
 		}
-		var arms []*ast.CommClause
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				arms = append(arms, cc)
-			}
-		}
 		var merged map[string]heldLock
-		for _, cc := range arms {
+		for _, c := range s.Body.List {
+			cc, ok := c.(*ast.CommClause)
+			if !ok {
+				continue
+			}
 			arm := cloneHeld(held)
 			// The comm op itself: sends/receives in comms are covered by
 			// the select-level blocking report, so walk only nested calls.
@@ -697,17 +696,18 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 			if merged == nil {
 				merged = arm
 			} else {
-				merged = unionHeld(merged, arm)
+				joinHeld(merged, arm)
 			}
 		}
-		if merged != nil {
-			for k, v := range merged {
-				if _, ok := held[k]; !ok {
-					held[k] = v
-				}
-			}
-		}
+		joinHeld(held, merged)
 	case *ast.DeferStmt:
+		// The deferred call's parameter facts (target, arguments, literal
+		// body) come from one param-only walk of the whole call; the lock
+		// walk below sees only what runs at exit.
+		w.paramOnlyExpr(s.Call, held, spawned)
+		if w.paramOnly > 0 {
+			return
+		}
 		if op, recv, ok := mutexOp(w.fi.Pkg.Info, s.Call); ok && (op == "unlock" || op == "runlock") {
 			if key := lockKeyOf(w.fi.Pkg.Info, w.fi.Key, recv); key != "" {
 				w.deferRelease[key] = true
@@ -740,16 +740,24 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 		}
 	case *ast.GoStmt:
 		// The goroutine starts with no locks held and its acquisitions are
-		// not the spawner's; only its internal ordering is recorded.
+		// not the spawner's; only its internal ordering is recorded. The
+		// arguments are evaluated by the spawner, so for the lock facts they
+		// keep its context.
+		w.paramCall(s.Call, true)
+		w.goArg++
 		if lit, ok := unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			w.noExit++
 			w.stmt(lit.Body, map[string]heldLock{}, true)
 			w.noExit--
+			for _, a := range s.Call.Args {
+				w.paramOnlyExpr(a, held, spawned)
+			}
 		} else {
 			for _, a := range s.Call.Args {
 				w.expr(a, held, spawned)
 			}
 		}
+		w.goArg--
 	case *ast.LabeledStmt:
 		w.stmt(s.Stmt, held, spawned)
 	case *ast.IncDecStmt:
@@ -757,13 +765,17 @@ func (w *concWalker) stmt(s ast.Stmt, held map[string]heldLock, spawned bool) {
 	}
 }
 
-// caseArms merges switch clause bodies under may-held union.
-func (w *concWalker) caseArms(body *ast.BlockStmt, held map[string]heldLock, spawned bool, _ []ast.Stmt) {
+// caseArms merges switch clause bodies under may-held union. The case
+// expressions are walked for parameter facts only.
+func (w *concWalker) caseArms(body *ast.BlockStmt, held map[string]heldLock, spawned bool) {
 	var merged map[string]heldLock
 	for _, c := range body.List {
 		cc, ok := c.(*ast.CaseClause)
 		if !ok {
 			continue
+		}
+		for _, e := range cc.List {
+			w.paramOnlyExpr(e, held, spawned)
 		}
 		arm := cloneHeld(held)
 		for _, sub := range cc.Body {
@@ -772,16 +784,10 @@ func (w *concWalker) caseArms(body *ast.BlockStmt, held map[string]heldLock, spa
 		if merged == nil {
 			merged = arm
 		} else {
-			merged = unionHeld(merged, arm)
+			joinHeld(merged, arm)
 		}
 	}
-	if merged != nil {
-		for k, v := range merged {
-			if _, ok := held[k]; !ok {
-				held[k] = v
-			}
-		}
-	}
+	joinHeld(held, merged)
 }
 
 // commExprs walks the nested expressions of a select comm op without
@@ -804,6 +810,9 @@ func (w *concWalker) commExprs(comm ast.Stmt, held map[string]heldLock, spawned 
 				continue
 			}
 			w.expr(r, held, spawned)
+		}
+		for _, l := range c.Lhs {
+			w.paramOnlyExpr(l, held, spawned)
 		}
 	}
 }
@@ -950,33 +959,6 @@ func collectCondLockers(prog *Program) map[string]string {
 	return out
 }
 
-// computeConcSummaries runs the bottom-up fixpoint for the concurrency
-// facts, mirroring computeSummaries.
-func computeConcSummaries(prog *Program) {
-	for _, key := range prog.sortedFuncKeys() {
-		fi := prog.Funcs[key]
-		fi.Conc = newConcSummary(numParams(fi.Decl))
-	}
-	for _, scc := range prog.sccOrder() {
-		for iter := 0; iter < len(scc)+1; iter++ {
-			changed := false
-			for _, key := range scc {
-				fi := prog.Funcs[key]
-				next := newConcSummary(numParams(fi.Decl))
-				w := newConcWalker(prog, fi, next)
-				w.walk()
-				if !fi.Conc.equalConc(next) {
-					fi.Conc = next
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-}
-
 // collectConcFindings re-walks every function against the converged
 // summaries, records the global lock-order edges, reports blocking sites,
 // and folds edge inversions into per-package cycle diagnostics. dir is the
@@ -988,7 +970,7 @@ func collectConcFindings(prog *Program, dir string) {
 	for _, key := range prog.sortedFuncKeys() {
 		fi := prog.Funcs[key]
 		var findings []concFinding
-		w := newConcWalker(prog, fi, newConcSummary(numParams(fi.Decl)))
+		w := newConcWalker(prog, fi, newSummary(fi.Decl.Type.Params.NumFields()))
 		w.emit = true
 		w.serverReach = prog.ServerReachable[key]
 		w.edges = &edges
@@ -1104,50 +1086,12 @@ func reportLockCycles(prog *Program, edges []lockEdge, dir string) {
 	}
 }
 
-// lockSCCs is Tarjan over the lock graph, seeded in sorted key order.
+// lockSCCs is Tarjan over the lock graph, seeded in sorted key order, with
+// each component and the component list sorted.
 func lockSCCs(keys []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-	var connect func(v string)
-	connect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, ok := index[w]; !ok {
-				connect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, k := range keys {
-		if _, ok := index[k]; !ok {
-			connect(k)
-		}
+	sccs := tarjan(keys, func(v string) []string { return adj[v] })
+	for _, scc := range sccs {
+		sort.Strings(scc)
 	}
 	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
 	return sccs

@@ -14,7 +14,7 @@ import (
 // the soak test exists to catch, found statically instead.
 //
 // The analyzer reports `go` statements in server-reachable functions
-// whose target is Unbounded per its ConcSummary (concsummary.go): the
+// whose target is Unbounded per its Summary (concsummary.go): the
 // body — or an in-module callee on the body's path — contains an infinite
 // `for` with no return, no break addressing it, no goto, and no
 // terminating call (panic, os.Exit, runtime.Goexit, log.Fatal). A
@@ -70,10 +70,10 @@ func goTargetUnbounded(pass *Pass, prog *Program, g *ast.GoStmt) (string, bool) 
 		return "the closure", litUnbounded(pass, prog, lit)
 	}
 	callee := prog.Funcs[staticCalleeKey(pass.Info, g.Call)]
-	if callee == nil || callee.Conc == nil {
+	if callee == nil || callee.Summary == nil {
 		return "", false
 	}
-	return callee.Decl.Name.Name, callee.Conc.Unbounded
+	return callee.Decl.Name.Name, callee.Summary.Unbounded
 }
 
 // litUnbounded reports whether a go'd closure can spin forever: an
@@ -98,7 +98,7 @@ func litUnbounded(pass *Pass, prog *Program, lit *ast.FuncLit) bool {
 				return false
 			}
 		case *ast.CallExpr:
-			if fi := prog.Funcs[staticCalleeKey(pass.Info, n)]; fi != nil && fi.Conc != nil && fi.Conc.Unbounded {
+			if fi := prog.Funcs[staticCalleeKey(pass.Info, n)]; fi != nil && fi.Summary != nil && fi.Summary.Unbounded {
 				unbounded = true
 				return false
 			}

@@ -132,7 +132,7 @@ type resWalker struct {
 func (w *resWalker) run() {
 	st := newResState()
 	// Parameters are roots at level 0.
-	n := numParams(w.fd)
+	n := w.fd.Type.Params.NumFields()
 	for i := 0; i < n; i++ {
 		obj := paramObject(w.pkg.Info, w.fd, i)
 		if obj != nil && isGridType(obj.Type()) {

@@ -202,7 +202,7 @@ func (w *leaseWalker) walk() []bool {
 	w.stmt(w.fd.Body, st)
 	w.exitCheck(w.fd.Body.End(), st)
 
-	leaked := make([]bool, numParams(w.fd))
+	leaked := make([]bool, w.fd.Type.Params.NumFields())
 	for _, l := range w.leases {
 		if l.param >= 0 && l.param < len(leaked) && l.leaked {
 			leaked[l.param] = true

@@ -200,10 +200,11 @@ func TestGoroLifeFixture(t *testing.T) {
 
 // TestInterprocFixture loads a two-package fixture in one run: the
 // findings in package b exist only because summaries computed for package
-// a (release chains, result resolution deltas, same-res constraints)
-// survive the cross-package call-graph fixpoint.
+// a (release chains, result resolution deltas, same-res constraints, and
+// the lock and lease facts of a mutually recursive pair) survive the
+// cross-package call-graph fixpoint.
 func TestInterprocFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{GridRes, LeasePath}, "testdata/src/interproc", "./...")
+	testFixturePatterns(t, []*Analyzer{GridRes, LeasePath, LockOrder}, "testdata/src/interproc", "./...")
 }
 
 // TestWorkersDeterminism pins the parallel pipeline's contract: the -json

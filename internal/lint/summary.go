@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -10,6 +11,9 @@ import (
 // analyzer can follow an invariant through a call without re-walking the
 // callee. Parameter indices refer to declared parameters in order;
 // receivers are not summarized (no repo invariant travels through one).
+// The lease, grid-resolution and concurrency facts share the one fixpoint:
+// each family reads only its own facts of the callees, so iterating them
+// together reaches the same fixpoint each would reach alone.
 type Summary struct {
 	NumParams int
 
@@ -28,6 +32,29 @@ type Summary struct {
 	// grid.ParallelFor body shape). Feeds goroutine-reachability.
 	CallsParam   []bool
 	CallsParamGo []bool
+
+	// Concurrency facts (lockorder, wgmisuse, gorolife; see
+	// concsummary.go). Acquires maps every lock key the function may
+	// acquire — directly or through any in-module callee — to a witness
+	// position (the acquire site, or the call site that reaches it).
+	// HoldsOnExit maps lock keys that may still be held when the function
+	// returns (a Lock with no Unlock and no deferred Unlock): the "lock
+	// helper" shape callers must account for. Witness positions are not
+	// compared by the fixpoint; callers read only the keys.
+	Acquires    map[string]token.Pos
+	HoldsOnExit map[string]token.Pos
+	// SyncsParam[i] — the function (transitively) performs a sync
+	// operation (mutex Lock/RLock, WaitGroup Add/Wait/Done) on parameter i
+	// or one of its fields; wgmisuse flags lock-bearing values copied into
+	// such a callee. AddsWGParam[i] — it (transitively) calls
+	// WaitGroup.Add on parameter i, which feeds the Add-inside-spawned-
+	// goroutine rule across calls.
+	SyncsParam  []bool
+	AddsWGParam []bool
+	// Unbounded — some path may never return: an infinite `for` with no
+	// return/break/goto/panic escape, or a call to an unbounded callee.
+	// gorolife reports `go` sites whose target is unbounded.
+	Unbounded bool
 
 	// Grid-resolution facts (gridres): SameRes constraints the body
 	// imposes between grid-typed parameters, and the resolution level of
@@ -73,45 +100,16 @@ func paramIndex(info *types.Info, fd *ast.FuncDecl, obj types.Object) int {
 	return -1
 }
 
-func numParams(fd *ast.FuncDecl) int {
-	if fd.Type.Params == nil {
-		return 0
-	}
-	n := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			n++
-		} else {
-			n += len(field.Names)
-		}
-	}
-	return n
-}
-
-func numResults(fd *ast.FuncDecl) int {
-	if fd.Type.Results == nil {
-		return 0
-	}
-	n := 0
-	for _, field := range fd.Type.Results.List {
-		if len(field.Names) == 0 {
-			n++
-		} else {
-			n += len(field.Names)
-		}
-	}
-	return n
-}
-
 // computeSummaries runs the bottom-up fixpoint: strongly connected
 // components of the static call graph are processed callees-first, and
 // each component is re-summarized until its facts stop changing (facts are
-// monotone — booleans only flip one way, constraints only accumulate — so
-// termination is structural, with a belt-and-braces iteration cap).
+// monotone — booleans only flip one way, constraints and lock keys only
+// accumulate — so termination is structural, with a belt-and-braces
+// iteration cap).
 func computeSummaries(prog *Program) {
 	for _, key := range prog.sortedFuncKeys() {
 		fi := prog.Funcs[key]
-		fi.Summary = newSummary(numParams(fi.Decl))
+		fi.Summary = newSummary(fi.Decl.Type.Params.NumFields())
 	}
 	for _, scc := range prog.sccOrder() {
 		for iter := 0; iter < len(scc)+1; iter++ {
@@ -139,6 +137,10 @@ func newSummary(n int) *Summary {
 		Escapes:      make([]bool, n),
 		CallsParam:   make([]bool, n),
 		CallsParamGo: make([]bool, n),
+		Acquires:     map[string]token.Pos{},
+		HoldsOnExit:  map[string]token.Pos{},
+		SyncsParam:   make([]bool, n),
+		AddsWGParam:  make([]bool, n),
 	}
 }
 
@@ -157,9 +159,22 @@ func (s *Summary) equal(o *Summary) bool {
 		}
 		return true
 	}
+	sameKeys := func(a, b map[string]token.Pos) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k := range a {
+			if _, ok := b[k]; !ok {
+				return false
+			}
+		}
+		return true
+	}
 	if !eqBools(s.Releases, o.Releases) || !eqBools(s.Returns, o.Returns) ||
 		!eqBools(s.Escapes, o.Escapes) || !eqBools(s.CallsParam, o.CallsParam) ||
-		!eqBools(s.CallsParamGo, o.CallsParamGo) {
+		!eqBools(s.CallsParamGo, o.CallsParamGo) || !eqBools(s.SyncsParam, o.SyncsParam) ||
+		!eqBools(s.AddsWGParam, o.AddsWGParam) || s.Unbounded != o.Unbounded ||
+		!sameKeys(s.Acquires, o.Acquires) || !sameKeys(s.HoldsOnExit, o.HoldsOnExit) {
 		return false
 	}
 	if len(s.SameRes) != len(o.SameRes) || len(s.Results) != len(o.Results) {
@@ -181,7 +196,7 @@ func (s *Summary) equal(o *Summary) bool {
 // summarize computes one function's summary against the current summaries
 // of its callees.
 func summarize(prog *Program, fi *FuncInfo) *Summary {
-	n := numParams(fi.Decl)
+	n := fi.Decl.Type.Params.NumFields()
 	sum := newSummary(n)
 
 	// Lease facts: seed every parameter as a tracked lease and observe
@@ -199,77 +214,12 @@ func summarize(prog *Program, fi *FuncInfo) *Summary {
 		sum.Releases[i] = !leaked[i] && !sum.Returns[i] && !sum.Escapes[i]
 	}
 
-	// Parameter invocation (direct and through callees like ParallelFor).
-	collectParamCalls(prog, fi, sum)
+	// Parameter invocation (direct and through callees like ParallelFor)
+	// and the concurrency facts: one walk of the body.
+	newConcWalker(prog, fi, sum).walk()
 
 	// Grid-resolution constraints and result deltas.
 	gridResSummary(prog, fi, sum)
 
 	return sum
-}
-
-// collectParamCalls records which function-typed parameters the body
-// invokes, and whether the invocation happens on a spawned goroutine —
-// directly (`go body(i)` inside the function, or a call inside a go'd
-// closure) or transitively (the parameter is passed into a callee position
-// the callee invokes on a goroutine).
-func collectParamCalls(prog *Program, fi *FuncInfo, sum *Summary) {
-	info := fi.Pkg.Info
-	var walk func(n ast.Node, spawned bool)
-	handleCall := func(call *ast.CallExpr, spawned bool) {
-		// Direct invocation of a parameter.
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				if i := paramIndex(info, fi.Decl, obj); i >= 0 {
-					sum.CallsParam[i] = true
-					if spawned {
-						sum.CallsParamGo[i] = true
-					}
-				}
-			}
-		}
-		// A parameter handed to a callee that invokes its own parameter.
-		callee := prog.Funcs[staticCalleeKey(info, call)]
-		if callee == nil || callee.Summary == nil {
-			return
-		}
-		for ai, a := range call.Args {
-			if ai >= len(callee.Summary.CallsParam) || !callee.Summary.CallsParam[ai] {
-				continue
-			}
-			id, ok := unparen(a).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := info.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			if i := paramIndex(info, fi.Decl, obj); i >= 0 {
-				sum.CallsParam[i] = true
-				if spawned || callee.Summary.CallsParamGo[ai] {
-					sum.CallsParamGo[i] = true
-				}
-			}
-		}
-	}
-	walk = func(n ast.Node, spawned bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				handleCall(m.Call, true)
-				if lit, ok := unparen(m.Call.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body, true)
-				}
-				for _, a := range m.Call.Args {
-					walk(a, true)
-				}
-				return false
-			case *ast.CallExpr:
-				handleCall(m, spawned)
-			}
-			return true
-		})
-	}
-	walk(fi.Decl.Body, false)
 }

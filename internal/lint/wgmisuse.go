@@ -8,7 +8,7 @@ import (
 
 // WGMisuse flags the WaitGroup and lock-copy mistakes `go vet`'s
 // intraprocedural copylocks pass cannot see, using the interprocedural
-// ConcSummaries (concsummary.go):
+// summaries (SyncsParam, AddsWGParam; see concsummary.go):
 //
 //   - WaitGroup.Add inside the spawned goroutine (directly, or by passing
 //     the WaitGroup to a callee whose summary says it Adds): the spawner
@@ -155,10 +155,10 @@ func checkWGFlow(pass *Pass, prog *Program, fd *ast.FuncDecl) {
 	// the interprocedural Add when the call runs on a spawned goroutine.
 	checkCall := func(call *ast.CallExpr, goLit *ast.FuncLit, isGoCall bool) {
 		callee := prog.Funcs[staticCalleeKey(pass.Info, call)]
-		if callee == nil || callee.Conc == nil {
+		if callee == nil || callee.Summary == nil {
 			return
 		}
-		cs := callee.Conc
+		cs := callee.Summary
 		for i, a := range call.Args {
 			if i >= len(cs.SyncsParam) {
 				break

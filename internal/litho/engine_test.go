@@ -566,7 +566,7 @@ func TestBatchEngineTelemetry(t *testing.T) {
 
 // The dense lane records one caller-side litho.socs span per SOCS call
 // (no per-worker spans) and the per-kernel FFT counter, keeping the phase
-// vocabulary tracecheck depends on.
+// vocabulary `tracestat -check` depends on.
 func TestReferenceEngineTelemetry(t *testing.T) {
 	mdl := model(t)
 	sim := newEngineSim(t, EngineReference, 2)

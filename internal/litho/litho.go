@@ -238,7 +238,7 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, half int) *grid.CMat
 // Telemetry: the batch records one litho.socs span around the row pass and
 // one litho.fft_inverse span around the column pass; the dense lane
 // records one caller-side litho.socs span (per-worker spans would
-// double-count wall time and break tracecheck's phase-coverage bound).
+// double-count wall time and break the `tracestat -check` phase-coverage bound).
 func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
 	ks := f.KS
 	nk := len(ks.Kernels)

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -96,5 +97,57 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "\nilt_job_panics_total 1\n") {
 		t.Errorf("/metrics lacks ilt_job_panics_total 1:\n%s", body)
+	}
+}
+
+// nanPenalty makes the job's loss NaN from its first iteration.
+type nanPenalty struct{}
+
+func (nanPenalty) Name() string { return "nan" }
+
+func (nanPenalty) Eval(m *grid.Mat) (float64, *grid.Mat) {
+	return math.NaN(), grid.NewMat(m.W, m.H)
+}
+
+// A diverging job fails loudly and alone: it ends in "failed" with the
+// core.DivergenceError as its reason and a stage.diverged event in its
+// log, and the next job on the same daemon succeeds with a mask
+// bit-identical to a fresh run.
+func TestDivergingJobFailsAlone(t *testing.T) {
+	want := goldenSHA(t)
+
+	s, base := newTestServer(t, server.Config{Executors: 1})
+	var armed atomic.Bool
+	armed.Store(true)
+	server.SetFaultHook(s, func(o *core.Options) {
+		if armed.CompareAndSwap(true, false) {
+			o.Penalties = append(o.Penalties, nanPenalty{})
+		}
+	})
+
+	code, bad, _ := submit(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	st := waitState(t, base, bad, "failed", 2*time.Minute)
+	reason := "core: stage 0: " + (&core.DivergenceError{Stage: 0, Iter: 0, Scale: 4}).Error()
+	if st.Error != reason {
+		t.Errorf("failed job reason = %q, want %q", st.Error, reason)
+	}
+	var sawDiverged bool
+	for _, f := range streamSSE(t, base, bad) {
+		sawDiverged = sawDiverged || f.Event == "stage.diverged"
+	}
+	if !sawDiverged {
+		t.Error("event log has no stage.diverged event")
+	}
+
+	code, next, _ := submit(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after divergence: HTTP %d", code)
+	}
+	st = waitState(t, base, next, "done", 2*time.Minute)
+	if st.Result == nil || st.Result.MaskSHA256 != want {
+		t.Errorf("job after the divergence: mask %v, want %s (fresh run)", st.Result, want)
 	}
 }

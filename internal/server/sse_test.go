@@ -155,7 +155,7 @@ func TestSSEGoldenStream(t *testing.T) {
 	}
 
 	// The data lines are exactly the trace-sink JSONL encoding: the stream,
-	// replayed as a file, must satisfy the tracecheck invariants (seq
+	// replayed as a file, must satisfy the `tracestat -check` invariants (seq
 	// contiguous from 1, ts non-decreasing, schema fields present).
 	var trace strings.Builder
 	for _, f := range first {

@@ -36,7 +36,7 @@ func (s *traceSink) Emit(e Event) {
 // the payload fields merged next to the reserved "event"/"seq"/"ts" keys,
 // with map keys sorted by json.Marshal so the bytes are deterministic given
 // a deterministic clock. The ILT server reuses this encoding for its SSE
-// data frames, so tracecheck's ValidateTrace accepts a captured event
+// data frames, so ValidateTrace (tracestat -check) accepts a captured event
 // stream unchanged.
 func MarshalEvent(e Event) []byte {
 	obj := make(map[string]any, len(e.Fields)+3)

@@ -97,8 +97,9 @@ func ReadFile(path string) (*Trace, error) {
 }
 
 // Read parses a JSONL trace stream. It is schema-light by design — full
-// schema validation is tracecheck's job; Read only needs the fields it
-// aggregates and tolerates events it does not know.
+// schema validation is telemetry.ValidateTrace's job (tracestat -check);
+// Read only needs the fields it aggregates and tolerates events it does
+// not know.
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{Counters: map[string]int64{}}
 	stages := map[int]*StageRec{}
