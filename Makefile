@@ -149,16 +149,18 @@ bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
 
-# CI smoke lane: a seconds-long sweep at tiny sizes that exercises both
+# CI smoke lane: a seconds-long sweep at small sizes that exercises both
 # engines (reference and the fused batch path, forward and gradient) and
 # gates against the committed BENCH_FFT.smoke.json baseline via the
-# bench-compare machinery;
+# bench-compare machinery. At field 2048 (P = 35) the batch engine's
+# Nyquist grid is m′ = 128: sizes 64 and 128 run its per-kernel lanes at
+# the working size, 256 its small-grid sampling and interpolation path;
 # the gate fails if no (size, engine) pair was compared. The 75%
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a
 # 2-10× slowdown), not single-digit drift.
 bench-fft-smoke:
-	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128 -field 2048 \
+	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128,256 -field 2048 \
 		-kernels 8 -reps 2 -json BENCH_FFT.smoke.new.json
 	$(MAKE) bench-compare OLD=BENCH_FFT.smoke.json NEW=BENCH_FFT.smoke.new.json GATE=75
 

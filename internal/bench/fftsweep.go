@@ -17,10 +17,11 @@ import (
 // speedup of the batched engine over the dense reference across PRs. For
 // each grid size the sweep times, per FFT engine at a fixed worker count of
 // 1, one exact forward simulation (Eq. 3) and one Sim.Gradient of that
-// forward's field (amplitudes recomputed, as the optimizer does above its
-// keep-amplitudes limit) — the single-threaded columns are what the pruning
-// claims are about, and they are comparable across hosts with different
-// core counts. Speedups are relative to the reference engine of the same
+// forward's field (amplitudes recomputed, as the optimizer does when their
+// grid exceeds its keep-amplitudes limit) — the single-threaded columns are
+// what the pruning and Nyquist-grid claims are about, and they are
+// comparable across hosts with different core counts. Sizes above the
+// batch engine's Nyquist grid (128 at P = 35) time its small-grid path. Speedups are relative to the reference engine of the same
 // run. Older reports also carry band_* columns for engines since removed;
 // the loader ignores them, and reports without the gradient columns gate
 // the forward pair only.
@@ -30,7 +31,7 @@ import (
 type FFTPoint struct {
 	M            int     `json:"m"`
 	ReferenceSec float64 `json:"reference_sec"` // dense forward + dense inverses
-	BatchedSec   float64 `json:"batched_sec"`   // packed forward + fused batched inverse
+	BatchedSec   float64 `json:"batched_sec"`   // packed forward + fused batched inverse (on the Nyquist grid above it)
 	BatchedGain  float64 `json:"batched_speedup"`
 	// Gradient: amplitude recompute plus the per-kernel adjoint — dense
 	// forward transforms for the reference, band-output batch for batched.

@@ -431,3 +431,64 @@ func TestSmoothingPoolTradeoff(t *testing.T) {
 		t.Errorf("smoothing pool increased shots: with %d, without %d", withPool.Shots, noPool.Shots)
 	}
 }
+
+// The keep-amplitudes decision follows the grid the amplitudes live on:
+// under the batch engine a 1024² forward keeps them (they are sampled on
+// the Nyquist grid m′ = 32 of the test kernels), while the reference
+// engine, whose amplitudes are working-sized, keeps them only up to
+// keepAmpsLimit.
+func TestKeepAmpsFollowsAmplitudeGrid(t *testing.T) {
+	m, err := optics.BuildModel(optics.TestScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		engine litho.FFTEngine
+		n      int
+		want   bool
+	}{
+		{litho.EngineBatch, 1024, true},
+		{litho.EngineBatch, keepAmpsLimit, true},
+		{litho.EngineReference, keepAmpsLimit, true},
+		{litho.EngineReference, 2 * keepAmpsLimit, false},
+	} {
+		p := litho.NewProcess(m)
+		p.Sim.Engine = c.engine
+		o := &Optimizer{opts: Options{Process: p}}
+		if got := o.keepAmps(c.n); got != c.want {
+			t.Errorf("%v n=%d: keepAmps = %v, want %v", c.engine, c.n, got, c.want)
+		}
+	}
+}
+
+// Optimized masks are bit-identical for every worker count, with the
+// high-res and full-res stages running the Nyquist-grid path (the test
+// kernels' m′ = 32 is below the 128² working grid).
+func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
+	model := process(t).Sim.Model
+	stages := []Stage{{Scale: 4, Iters: 3}, {Scale: 2, Iters: 2, HighRes: true}, {Scale: 1, Iters: 2}}
+	var want *Result
+	for _, w := range []int{1, 2, 7} {
+		p := litho.NewProcess(model)
+		opts := DefaultOptions(p)
+		opts.Workers = w
+		o, err := New(opts, testTarget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := o.Run(context.Background(), stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := p.Sim.SOCSGrid(128, model.Nominal.P); m >= 128 {
+			t.Fatalf("Nyquist grid %d does not engage at 128", m)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if !res.Mask.Equal(want.Mask, 0) || !res.Params.Equal(want.Params, 0) {
+			t.Errorf("workers=%d: mask or parameters differ from workers=1", w)
+		}
+	}
+}

@@ -84,9 +84,10 @@ func DefaultOptions(p *litho.Process) Options {
 	}
 }
 
-// keepAmpsLimit is the largest working-grid side for which the forward
+// keepAmpsLimit is the largest amplitude-grid side for which the forward
 // pass caches per-kernel amplitudes for gradient reuse (memory/speed
-// trade-off).
+// trade-off). The amplitudes live on the simulator's SOCS grid, which
+// under the batch engine is the Nyquist grid m′ whatever the working size.
 const keepAmpsLimit = 256
 
 // Stage is one level of the multi-level schedule.
@@ -325,16 +326,19 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 		// Checked before the update and the iter event: no step from a
 		// non-finite loss means anything, and JSON cannot encode NaN.
 		if loss := terms.Total(); math.IsNaN(loss) || math.IsInf(loss, 0) {
-			if rec.Enabled() {
-				rec.Emit("stage.diverged", telemetry.Fields{"stage": stageIdx, "iter": it, "scale": st.Scale})
-			}
-			return nil, &DivergenceError{Stage: stageIdx, Iter: it, Scale: st.Scale}
+			return nil, diverged(rec, DivergenceError{Stage: stageIdx, Iter: it, Scale: st.Scale})
 		}
 		if o.opts.GradHook != nil {
 			o.opts.GradHook(g, st)
 		}
 		if regionS != nil {
 			mask.ApplyRegion(g, regionS)
+		}
+		// A finite loss does not make a finite gradient: a NaN step on the
+		// stage's last iteration would be copied into best and returned as
+		// the stage's result, so the gradient is checked before the update.
+		if !allFinite(g) {
+			return nil, diverged(rec, DivergenceError{Stage: stageIdx, Iter: it, Scale: st.Scale, Gradient: true})
 		}
 		if velocity != nil {
 			velocity.Scale(o.opts.Momentum)
@@ -393,15 +397,42 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 	return best, nil
 }
 
-// A DivergenceError reports an iteration whose Eq. (5) loss total was NaN
-// or ±Inf. Run stops at the first such iteration and returns it wrapped
-// with the stage index; match it with errors.As.
+// A DivergenceError reports an iteration whose Eq. (5) loss total, or
+// whose gradient after GradHook and the region mask, was NaN or ±Inf. Run
+// stops at the first such iteration, before its update, and returns it
+// wrapped with the stage index; match it with errors.As.
 type DivergenceError struct {
 	Stage, Iter, Scale int
+	// Gradient is set when the loss was finite but the gradient was not.
+	Gradient bool
 }
 
 func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("loss diverged (NaN or Inf) at iteration %d, scale %d", e.Iter, e.Scale)
+	what := "loss"
+	if e.Gradient {
+		what = "gradient"
+	}
+	return fmt.Sprintf("%s diverged (NaN or Inf) at iteration %d, scale %d", what, e.Iter, e.Scale)
+}
+
+// diverged emits the stage.diverged event for e and returns it as an error.
+func diverged(rec *telemetry.Recorder, e DivergenceError) error {
+	if rec.Enabled() {
+		rec.Emit("stage.diverged", telemetry.Fields{
+			"stage": e.Stage, "iter": e.Iter, "scale": e.Scale, "gradient": e.Gradient,
+		})
+	}
+	return &e
+}
+
+// allFinite reports whether every element of g is finite.
+func allFinite(g *grid.Mat) bool {
+	for _, v := range g.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // lineSearchStep applies the backtracking rule of [12]: starting from the
@@ -453,7 +484,7 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		sim = grid.SmoothPool(ms, o.opts.SmoothWindow)
 		smoothed = true
 	}
-	keep := wantGrad && sim.W <= keepAmpsLimit
+	keep := wantGrad && o.keepAmps(sim.W)
 
 	terms, corners, err := o.simulateLoss(sim, ztS, keep)
 	if err != nil {
@@ -490,7 +521,7 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 
 	// Line 7: M = Upsample(M_s).
 	m := grid.UpsampleNearest(ms, s)
-	keep := wantGrad && m.W <= keepAmpsLimit
+	keep := wantGrad && o.keepAmps(m.W)
 
 	// Lines 8–9 fold into simulateLoss: exact simulation at full size with
 	// the wafer images pooled down before the loss; the pooling adjoint is
@@ -520,6 +551,13 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 	terms.Penalty = pen
 	gMs.MulElem(o.opts.Binary.Grad(mp, ms))
 	return terms, gMs, nil
+}
+
+// keepAmps reports whether an n×n forward should keep its amplitudes for
+// the gradient: whether the grid they live on is within keepAmpsLimit.
+func (o *Optimizer) keepAmps(n int) bool {
+	sim := o.opts.Process.Sim
+	return sim.SOCSGrid(n, sim.Model.Nominal.P) <= keepAmpsLimit
 }
 
 // cornerTerm carries one simulated corner through the adjoint chain.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -138,5 +139,40 @@ func TestRunDivergenceFailsLoudly(t *testing.T) {
 	f := sink.events[1].Fields
 	if f["stage"] != 0 || f["iter"] != 0 || f["scale"] != 4 {
 		t.Errorf("stage.diverged fields %v, want stage 0, iter 0, scale 4", f)
+	}
+}
+
+// A non-finite gradient on a stage's last iteration, where the loss is
+// still finite and may be the stage's best, stops Run with a gradient
+// DivergenceError instead of returning the NaN-updated parameters as the
+// result.
+func TestRunGradientDivergenceOnLastIteration(t *testing.T) {
+	sink := &eventSink{}
+	opts := DefaultOptions(process(t))
+	opts.Recorder = telemetry.New(telemetry.WithSink(sink))
+	calls := 0
+	opts.GradHook = func(g *grid.Mat, st Stage) {
+		if calls++; calls == 3 {
+			g.Data[len(g.Data)/2] = math.NaN()
+		}
+	}
+	o, err := New(opts, testTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := o.Run(context.Background(), []Stage{{Scale: 4, Iters: 3}})
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run error = %v (result %v), want a *DivergenceError", err, res != nil)
+	}
+	if *de != (DivergenceError{Stage: 0, Iter: 2, Scale: 4, Gradient: true}) {
+		t.Errorf("DivergenceError = %+v, want stage 0, iter 2, scale 4, gradient", *de)
+	}
+	if !strings.HasPrefix(de.Error(), "gradient diverged") {
+		t.Errorf("error %q does not name the gradient", de.Error())
+	}
+	last := sink.events[len(sink.events)-1]
+	if last.Name != "stage.diverged" || last.Fields["iter"] != 2 || last.Fields["gradient"] != true {
+		t.Errorf("last event %s %v, want stage.diverged at iter 2 with gradient true", last.Name, last.Fields)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/litho"
 	"repro/internal/mask"
 	"repro/internal/report"
 )
@@ -64,11 +65,20 @@ func Verify(c Config) (*report.Table, error) {
 		t.Add(claim, measured, verdict)
 	}
 
+	// The timing claims (1, 2, 2b, 3, 7) measure the paper's cost model, in
+	// which Eq. 3 runs every kernel's transforms at the full working size.
+	// That is the reference engine's formulation, so they run on an
+	// explicitly built reference process. The default engine samples the
+	// image on the Nyquist grid and interpolates, which computes the same
+	// Eq. 3 image at roughly Eq. 7's cost; its ratios are printed next to
+	// each verdict but not gated (EXPERIMENTS.md, "Timing claims").
+	ref := referenceProcess(p)
+
 	// Claim 1: Eq. 8 ≤ Eq. 7 ≪ Eq. 3 forward time. The three forwards run
 	// in interleaved rounds, the order rotating each round, and are compared
 	// by per-call medians: a slow phase of the host then lands on all three
 	// alike instead of on one side of a ratio.
-	{
+	forwardTimes := func(p *litho.Process) (eq3, eq7, eq8 float64, err error) {
 		rounds := maxInt(10, 60/c.IterDiv)
 		ks := p.Sim.Model.Nominal
 		pooled := poolTarget(cs, 4)
@@ -80,7 +90,7 @@ func Verify(c Config) (*report.Table, error) {
 		var secs [3][]float64
 		for _, f := range forwards {
 			if err := f(); err != nil { // warm-up
-				return nil, err
+				return 0, 0, 0, err
 			}
 		}
 		for r := 0; r < rounds; r++ {
@@ -88,19 +98,30 @@ func Verify(c Config) (*report.Table, error) {
 				k := (r + i) % len(forwards)
 				start := time.Now()
 				if err := forwards[k](); err != nil {
-					return nil, err
+					return 0, 0, 0, err
 				}
 				secs[k] = append(secs[k], time.Since(start).Seconds())
 			}
 		}
-		eq3, eq7, eq8 := medianOf(secs[0]), medianOf(secs[1]), medianOf(secs[2])
+		return medianOf(secs[0]), medianOf(secs[1]), medianOf(secs[2]), nil
+	}
+	{
+		eq3, eq7, eq8, err := forwardTimes(ref)
+		if err != nil {
+			return nil, err
+		}
+		d3, d7, d8, err := forwardTimes(p)
+		if err != nil {
+			return nil, err
+		}
 		add("1. forward time Eq8 ≤ Eq7 ≪ Eq3 (paper 17.5×/10.7×)",
-			fmt.Sprintf("Eq3/Eq7 = %.1f×, Eq3/Eq8 = %.1f×", eq3/eq7, eq3/eq8),
+			fmt.Sprintf("Eq3/Eq7 = %.1f×, Eq3/Eq8 = %.1f× (default engine %.1f×, %.1f×)",
+				eq3/eq7, eq3/eq8, d3/d7, d3/d8),
 			eq8 <= eq7*1.25 && eq3 > 3*eq7)
 	}
 
 	// Claims 2 & part of 4: per-iteration times.
-	iterTime := func(st core.Stage) (float64, error) {
+	iterTime := func(p *litho.Process, st core.Stage) (float64, error) {
 		opts := core.DefaultOptions(p)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -113,26 +134,24 @@ func Verify(c Config) (*report.Table, error) {
 		}
 		return res.ILTSeconds / float64(res.Iterations), nil
 	}
-	lowIter, err := iterTime(core.Stage{Scale: 4})
-	if err != nil {
-		return nil, err
+	var iters [2][3]float64 // [reference, default][low, high, full]
+	for i, proc := range []*litho.Process{ref, p} {
+		for j, st := range []core.Stage{{Scale: 4}, {Scale: 4, HighRes: true}, {Scale: 1}} {
+			if iters[i][j], err = iterTime(proc, st); err != nil {
+				return nil, err
+			}
+		}
 	}
-	highIter, err := iterTime(core.Stage{Scale: 4, HighRes: true})
-	if err != nil {
-		return nil, err
-	}
-	fullIter, err := iterTime(core.Stage{Scale: 1})
-	if err != nil {
-		return nil, err
-	}
+	lowIter, highIter, fullIter := iters[0][0], iters[0][1], iters[0][2]
 	add("2. low-res iteration ≪ high-res (paper ≈18×)",
-		fmt.Sprintf("high/low = %.1f×", highIter/lowIter), highIter > 5*lowIter)
+		fmt.Sprintf("high/low = %.1f× (default engine %.1f×)", highIter/lowIter, iters[1][1]/iters[1][0]),
+		highIter > 5*lowIter)
 	add("2b. high-res ≈ no-downsampling iteration time",
-		fmt.Sprintf("full/high = %.2f×", fullIter/highIter),
+		fmt.Sprintf("full/high = %.2f× (default engine %.2f×)", fullIter/highIter, iters[1][2]/iters[1][1]),
 		fullIter/highIter > 0.5 && fullIter/highIter < 2.0)
 
 	// Claims 3, 4, 7: quality/cost orderings on one case.
-	runStages := func(stages []core.Stage, smooth int) (Measured, error) {
+	runStages := func(p *litho.Process, stages []core.Stage, smooth int) (Measured, error) {
 		opts := core.DefaultOptions(p)
 		opts.SmoothWindow = smooth
 		o, err := core.New(opts, cs.Target)
@@ -150,23 +169,30 @@ func Verify(c Config) (*report.Table, error) {
 		rep.TAT = res.ILTSeconds
 		return Measured{Report: rep, ILTSec: res.ILTSeconds, Result: res, Mask: res.Mask}, nil
 	}
-	fast, err := runStages(core.FastM1(), 3)
+	// fast, exact and pixel ILT on one process, for claims 3 and 7.
+	recipes := func(p *litho.Process) (fast, exact, pixel Measured, err error) {
+		if fast, err = runStages(p, core.FastM1(), 3); err != nil {
+			return
+		}
+		if exact, err = runStages(p, core.ExactM1(), 3); err != nil {
+			return
+		}
+		pixel, err = c.runPixel(p, cs.Target, nil, maxInt(1, 100/c.IterDiv))
+		return
+	}
+	fast, exact, pixel, err := recipes(ref)
 	if err != nil {
 		return nil, err
 	}
-	exact, err := runStages(core.ExactM1(), 3)
+	dFast, dExact, dPixel, err := recipes(p)
 	if err != nil {
 		return nil, err
 	}
-	pixel, err := c.runPixel(p, cs.Target, nil, maxInt(1, 100/c.IterDiv))
+	noDown, err := runStages(p, []core.Stage{{Scale: 1, Iters: 100}}, 0)
 	if err != nil {
 		return nil, err
 	}
-	noDown, err := runStages([]core.Stage{{Scale: 1, Iters: 100}}, 0)
-	if err != nil {
-		return nil, err
-	}
-	lowOnly, err := runStages([]core.Stage{{Scale: 4, Iters: 100}}, 3)
+	lowOnly, err := runStages(p, []core.Stage{{Scale: 4, Iters: 100}}, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +205,9 @@ func Verify(c Config) (*report.Table, error) {
 	// the gap narrows toward the paper's 1 nm/px (where its Tables show
 	// multi-level within ~7% of the no-downsampling L2 trend).
 	add("3. multi-level nears pixel-ILT L2 at ≥4× lower runtime",
-		fmt.Sprintf("exact L2 %.0f in %.1fs vs pixel L2 %.0f in %.1fs",
-			exact.Report.L2, exact.ILTSec, pixel.Report.L2, pixel.ILTSec),
+		fmt.Sprintf("exact L2 %.0f in %.1fs vs pixel L2 %.0f in %.1fs (pixel/exact %.1f×; default engine %.1f×)",
+			exact.Report.L2, exact.ILTSec, pixel.Report.L2, pixel.ILTSec,
+			pixel.ILTSec/exact.ILTSec, dPixel.ILTSec/dExact.ILTSec),
 		exact.Report.L2 <= 1.5*pixel.Report.L2 && exact.ILTSec < 0.25*pixel.ILTSec)
 
 	add("4. no-downsampling: lowest L2 but far more shots than low-res",
@@ -189,8 +216,9 @@ func Verify(c Config) (*report.Table, error) {
 		noDown.Report.L2 <= lowOnly.Report.L2 && noDown.Report.Shots > lowOnly.Report.Shots)
 
 	add("7. exact ≥ fast quality; fast is materially cheaper",
-		fmt.Sprintf("L2 %.0f vs %.0f; time %.1fs vs %.1fs",
-			exact.Report.L2, fast.Report.L2, exact.ILTSec, fast.ILTSec),
+		fmt.Sprintf("L2 %.0f vs %.0f; time %.1fs vs %.1fs (fast/exact %.2f×; default engine %.2f×)",
+			exact.Report.L2, fast.Report.L2, exact.ILTSec, fast.ILTSec,
+			fast.ILTSec/exact.ILTSec, dFast.ILTSec/dExact.ILTSec),
 		exact.Report.L2 <= fast.Report.L2*1.05 && fast.ILTSec < 0.8*exact.ILTSec)
 
 	// Claim 5: T_R = 0.5 grows SRAFs and improves L2+PVB at equal budget.
@@ -241,11 +269,11 @@ func Verify(c Config) (*report.Table, error) {
 	// at equal budget ("efficiently avoid holes and fractures", Fig. 6).
 	// Raggedness = perimeter²/area, the scale-free isoperimetric quotient.
 	{
-		withPool, err := runStages([]core.Stage{{Scale: 4, Iters: 80}}, 3)
+		withPool, err := runStages(p, []core.Stage{{Scale: 4, Iters: 80}}, 3)
 		if err != nil {
 			return nil, err
 		}
-		noPool, err := runStages([]core.Stage{{Scale: 4, Iters: 80}}, 0)
+		noPool, err := runStages(p, []core.Stage{{Scale: 4, Iters: 80}}, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -208,35 +208,39 @@ func (p *Plan2) inverseBand(dst, src *grid.CMat, band BandSpec) {
 	rowBT := p.rowP.bandTable(band.Half) // prune inside each populated row
 	colBT := p.colP.bandTable(band.Half) // prune each column over the band rows
 	rows := band.Rows(p.h)
-	workers := p.workersFor(p.h)
 
-	if workers <= 1 {
+	// Each pass fans out only when it is large enough to pay for it (the
+	// band rows of a small grid are not); the serial branches build no
+	// closures, so a small pass allocates nothing.
+	if workers := p.workersFor(rows); workers <= 1 {
 		for i := 0; i < rows; i++ {
 			y := band.Row(i, p.h)
 			row := dst.Data[y*p.w : (y+1)*p.w]
 			copy(row, src.Data[y*p.w:(y+1)*p.w])
 			p.rowP.inversePruned(row, rowBT)
 		}
+	} else {
+		grid.ParallelFor(workers, rows, func(i int) {
+			y := band.Row(i, p.h)
+			row := dst.Data[y*p.w : (y+1)*p.w]
+			copy(row, src.Data[y*p.w:(y+1)*p.w])
+			p.rowP.inversePruned(row, rowBT)
+		})
+	}
+	if workers := p.workersFor(p.w); workers <= 1 {
 		bp := p.colBufs.Get().(*[]complex128)
 		buf := *bp
 		for x := 0; x < p.w; x++ {
 			p.inverseBandColumn(dst, buf, x, band, colBT)
 		}
 		p.colBufs.Put(bp)
-		return
+	} else {
+		grid.ParallelFor(workers, p.w, func(x int) {
+			bp := p.colBufs.Get().(*[]complex128)
+			p.inverseBandColumn(dst, *bp, x, band, colBT)
+			p.colBufs.Put(bp)
+		})
 	}
-
-	grid.ParallelFor(workers, rows, func(i int) {
-		y := band.Row(i, p.h)
-		row := dst.Data[y*p.w : (y+1)*p.w]
-		copy(row, src.Data[y*p.w:(y+1)*p.w])
-		p.rowP.inversePruned(row, rowBT)
-	})
-	grid.ParallelFor(workers, p.w, func(x int) {
-		bp := p.colBufs.Get().(*[]complex128)
-		p.inverseBandColumn(dst, *bp, x, band, colBT)
-		p.colBufs.Put(bp)
-	})
 }
 
 // inverseBandColumn gathers column x's band rows from m (zero-filling the

@@ -282,3 +282,54 @@ func TestZeroRows(t *testing.T) {
 		}
 	}
 }
+
+// CopyBand moves exactly the ±half block between spectra of different
+// sizes, scaled, in both directions: the destination's band rows carry the
+// scaled source cells at the same signed frequencies and +0 elsewhere, and
+// its other rows are never written.
+func TestCopyBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const half = 3
+	signed := func(i, n int) int {
+		if i > n/2 {
+			return i - n
+		}
+		return i
+	}
+	for _, c := range []struct{ sn, dn int }{{8, 32}, {32, 8}, {16, 16}} {
+		src := grid.NewCMat(c.sn, c.sn)
+		for i := range src.Data {
+			src.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		dst := grid.NewCMat(c.dn, c.dn)
+		const stale = complex(7, -7)
+		for i := range dst.Data {
+			dst.Data[i] = stale
+		}
+		CopyBand(dst, src, half, 0.25)
+		for y := 0; y < c.dn; y++ {
+			fy := signed(y, c.dn)
+			for x := 0; x < c.dn; x++ {
+				fx := signed(x, c.dn)
+				got := dst.Data[y*c.dn+x]
+				var want complex128
+				switch {
+				case fy < -half || fy > half:
+					want = stale
+				case fx >= -half && fx <= half:
+					sy, sx := (fy+c.sn)%c.sn, (fx+c.sn)%c.sn
+					want = 0.25 * src.Data[sy*c.sn+sx]
+				}
+				if got != want {
+					t.Fatalf("%d→%d: cell (fy %d, fx %d) = %v, want %v", c.sn, c.dn, fy, fx, got, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyBand accepted a band that covers the grid")
+		}
+	}()
+	CopyBand(grid.NewCMat(8, 8), grid.NewCMat(16, 16), 4, 1)
+}

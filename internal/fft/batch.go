@@ -184,12 +184,12 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 // runs the pruned column transforms in lockstep, and — fused in the same
 // L2-resident pass — scatters amplitudes into outs[k] (when outs is
 // non-nil, fully overwriting each m×m matrix) and accumulates
-// weights[k]·|A_k|² into intensity (when non-nil). The intensity fold is
-// per element I += weights[k]·(re²+im²) in ascending k — the exact
+// dose·weights[k]·|A_k|² into intensity (when non-nil). The intensity fold
+// is per element I += (dose·weights[k])·(re²+im²) in ascending k — the exact
 // AbsSqScaledInto+Add sequence of the per-kernel path, so results are
 // bit-identical to it and independent of the worker count. The batch's
 // buffer is released; b must not be used again.
-func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, intensity *grid.Mat) {
+func (b *BatchInverse) InverseColumns(outs []*grid.CMat, dose float64, weights []float64, intensity *grid.Mat) {
 	p := b.p
 	m := p.w
 	if outs != nil && len(outs) != b.nk {
@@ -237,7 +237,7 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, inte
 				}
 			}
 			if intensity != nil {
-				wk := weights[k]
+				wk := dose * weights[k]
 				for i := 0; i < 4*m; i++ {
 					re, im := real(cb[i]), imag(cb[i])
 					ib[i] += wk * (re*re + im*im)

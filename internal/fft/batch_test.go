@@ -80,7 +80,7 @@ func batchRun(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, 
 		}
 	}
 	intensity := grid.NewMat(m, m)
-	b.InverseColumns(outs, weights, intensity)
+	b.InverseColumns(outs, 1, weights, intensity)
 	return outs, intensity
 }
 

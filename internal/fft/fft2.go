@@ -63,16 +63,20 @@ func NewPlan2(w, h int) (*Plan2, error) {
 	return p, nil
 }
 
-// workersFor resolves the worker count for a pass over `limit` units.
+// minParallelWork is the smallest pass, in transformed elements, that fans
+// out across goroutines: below it (the row pass of a 64² real transform,
+// the band rows of a small pruned inverse) starting the workers costs
+// about as much as the pass, and every fan-out allocates.
+const minParallelWork = 64 * 64
+
+// workersFor resolves the worker count for a pass over `limit` rows or
+// columns of the (square) plan. The split never changes a result: each
+// row or column is transformed by itself.
 func (p *Plan2) workersFor(limit int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > limit {
-		workers = limit
+	if limit*p.w < minParallelWork {
+		return 1
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return min(limit, runtime.GOMAXPROCS(0))
 }
 
 // W returns the plan width.

@@ -197,3 +197,38 @@ func Shift(m *grid.CMat) *grid.CMat {
 	}
 	return out
 }
+
+// CopyBand writes scale·src[f] into dst[f] for every |fx|, |fy| ≤ half,
+// where src and dst are square DC-at-zero spectra of possibly different
+// sizes, both larger than 2·half+1. It is the frequency-domain step of
+// band-limited resampling: from a small grid to a large one it is Fourier
+// interpolation, from a large grid to a small one it keeps exactly the band
+// the small grid can hold. The rest of dst's band rows is zeroed, so dst
+// meets the BandSpec{Half: half} contract InverseBandNoNorm reads; rows
+// outside the band are left untouched.
+func CopyBand(dst, src *grid.CMat, half int, scale complex128) {
+	band := BandSpec{Half: half}
+	dn, sn := dst.W, src.W
+	if dst.H != dn || src.H != sn || band.None() || band.Covers(dn) || band.Covers(sn) {
+		panic(fmt.Sprintf("fft: CopyBand half %d needs square spectra larger than the band, got %dx%d and %dx%d",
+			half, dst.W, dst.H, src.W, src.H))
+	}
+	rows := band.Rows(dn)
+	for i := 0; i < rows; i++ {
+		dy, sy := band.Row(i, dn), band.Row(i, sn)
+		drow := dst.Data[dy*dn : (dy+1)*dn]
+		srow := src.Data[sy*sn : (sy+1)*sn]
+		// Non-negative frequencies lead the row, negative ones end it.
+		slo := srow[:half+1]
+		dlo := drow[:len(slo)]
+		for x, v := range slo {
+			dlo[x] = scale * v
+		}
+		clear(drow[half+1 : dn-half])
+		shi := srow[sn-half:]
+		dhi := drow[dn-half:][:len(shi)]
+		for x, v := range shi {
+			dhi[x] = scale * v
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"math/cmplx"
 )
@@ -75,6 +76,21 @@ func (m *CMat) Real() *Mat {
 		out.Data[i] = real(v)
 	}
 	return out
+}
+
+// errRealIntoShape is RealInto's panic value: a preallocated error keeps
+// the panic path from boxing a message at every inlined call site.
+var errRealIntoShape = errors.New("grid: RealInto shape mismatch")
+
+// RealInto overwrites dst with the real parts of m. The shapes must match.
+func (m *CMat) RealInto(dst *Mat) {
+	out := dst.Data
+	if m.W != dst.W || m.H != dst.H || len(out) < len(m.Data) {
+		panic(errRealIntoShape)
+	}
+	for i, v := range m.Data {
+		out[i] = real(v)
+	}
 }
 
 // AbsSq returns |m|² element-wise as a new Mat.

@@ -56,12 +56,13 @@ func denseOracle(t *testing.T, spec *grid.CMat, ks *optics.KernelSet, m int, sca
 }
 
 // denseGradient is the dense reference adjoint of a field's own spectrum:
-// EngineReference's Gradient (dense amplitude recompute, dense accumulator
-// inverse) over a field that shares f's spectrum but keeps no amplitudes.
+// EngineReference's Gradient (dense amplitude recompute on the field's
+// amplitude grid, dense accumulator inverse) over a field that shares f's
+// spectrum and grids but keeps no amplitudes.
 func denseGradient(t *testing.T, f *Field, dLdI *grid.Mat) *grid.Mat {
 	t.Helper()
 	ref := newEngineSim(t, EngineReference, 1)
-	g, err := ref.Gradient(&Field{M: f.M, Spec: f.Spec, Dose: f.Dose, KS: f.KS}, dLdI)
+	g, err := ref.Gradient(&Field{M: f.M, AmpM: f.AmpM, Spec: f.Spec, Dose: f.Dose, KS: f.KS}, dLdI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,37 +146,61 @@ func TestEnginesDarkFrameExactZero(t *testing.T) {
 
 // Tolerance-0 Forward contract of the pruned inverses, which now run
 // inside the batched engine: fed the batch field's own spectrum, the
-// test-local dense oracle reproduces the intensity and every kept
-// amplitude bit-for-bit (each batch lane performs the dense pipeline's
-// exact operation sequence minus butterflies on structural zeros;
-// physical kernels are not exactly Hermitian, so the conjugate-mirror
-// gate stays closed) — across grid sizes, worker counts and keepAmps
-// modes.
+// test-local dense oracle on the field's amplitude grid reproduces every
+// kept amplitude bit-for-bit (each batch lane performs the dense
+// pipeline's exact operation sequence minus butterflies on structural
+// zeros; physical kernels are not exactly Hermitian, so the
+// conjugate-mirror gate stays closed) — across models, grid sizes, worker
+// counts and keepAmps modes. Where the field is sampled on its own grid
+// (n ≤ m′, the batch lane) the intensity is bit-identical too; on the
+// Nyquist lane (m′ < n) it is an interpolation, pinned to the reference
+// engine by TestNyquistMatchesReference.
 func TestEngineBandInverseForwardBitIdentical(t *testing.T) {
-	mdl := model(t)
+	models, err := scaleModels()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{64, 128, 256} {
-		mask := randMask(rng, n)
-		for _, w := range workerSweep() {
-			sim := newEngineSim(t, EngineBatch, w)
-			for _, keep := range []bool{false, true} {
-				got, err := sim.Forward(mask, mdl.Nominal, 1.02, keep)
-				if err != nil {
-					t.Fatal(err)
+	batchLane := 0
+	for _, mdl := range append([]*optics.Model{model(t)}, models...) {
+		ks := mdl.Nominal
+		for _, n := range []int{32, 64, 128, 256} {
+			if n < ks.P {
+				continue
+			}
+			mask := randMask(rng, n)
+			for _, w := range workerSweep() {
+				sim := NewSim(mdl)
+				sim.Workers = w
+				m := sim.SOCSGrid(n, ks.P)
+				if m == n {
+					batchLane++
 				}
-				wantAmps, wantI := denseOracle(t, got.Spec, mdl.Nominal, n, 1, 1.02)
-				if !got.Intensity.Equal(wantI, 0) {
-					t.Errorf("n=%d workers=%d keep=%v: batched intensity differs from dense oracle", n, w, keep)
-				}
-				if keep {
-					for k := range wantAmps {
-						if got.Amps[k].MaxAbsDiff(wantAmps[k]) != 0 {
-							t.Errorf("n=%d workers=%d: batched amplitude %d differs from dense oracle", n, w, k)
+				for _, keep := range []bool{false, true} {
+					got, err := sim.Forward(mask, ks, 1.02, keep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.AmpM != m {
+						t.Fatalf("P=%d n=%d: field amplitude grid %d, want %d", ks.P, n, got.AmpM, m)
+					}
+					wantAmps, wantI := denseOracle(t, got.Spec, ks, m, socsScale(n, m), 1.02)
+					if m == n && !got.Intensity.Equal(wantI, 0) {
+						t.Errorf("P=%d n=%d workers=%d keep=%v: batched intensity differs from dense oracle", ks.P, n, w, keep)
+					}
+					if keep {
+						for k := range wantAmps {
+							if got.Amps[k].MaxAbsDiff(wantAmps[k]) != 0 {
+								t.Errorf("P=%d n=%d workers=%d: batched amplitude %d differs from dense oracle", ks.P, n, w, k)
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+	if batchLane == 0 {
+		t.Error("no size ran the n ≤ m′ batch lane")
 	}
 }
 
@@ -204,12 +229,14 @@ func TestEngineBandInverseEq7BitIdentical(t *testing.T) {
 // Tolerance-0 Gradient contract on both adjoint paths (kept amplitudes,
 // and the batched recompute, where the pruned per-kernel inverses run)
 // plus the band-limited accumulator inverse: every worker count and
-// keepAmps mode reproduces the dense adjoint of the same spectrum, so the
-// two paths also agree with each other bit-for-bit.
+// keepAmps mode reproduces the dense adjoint of the same spectrum on the
+// same amplitude grid, so the two paths also agree with each other
+// bit-for-bit. n = 32 runs the n ≤ m′ batch lane, 64 and 128 the Nyquist
+// lane (m′ = 32).
 func TestEngineBandInverseGradientBitIdentical(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(33))
-	for _, n := range []int{64, 128} {
+	for _, n := range []int{32, 64, 128} {
 		mask := randMask(rng, n)
 		dLdI := randMask(rng, n)
 		var want *grid.Mat // dense adjoint of the batch spectrum, shared by every run
@@ -257,9 +284,10 @@ var scaleModels = sync.OnceValues(func() ([]*optics.Model, error) {
 
 // The band-output adjoint under EngineBatch is bit-identical to the dense
 // per-kernel adjoint (EngineReference: full Forward + KernelAdjointPatch
-// per kernel, dense accumulator inverse) of the same field — on the
-// kept-amplitude and the recompute path, at every worker count, for the
-// BenchScale and harness kernel sets.
+// per kernel, dense accumulator inverse) of the same field on the same
+// amplitude grid — the working grid up to the Nyquist grid m′, m′ above
+// it — on the kept-amplitude and the recompute path, at every worker
+// count, for the BenchScale and harness kernel sets.
 func TestGradientBandAdjointMatchesDense(t *testing.T) {
 	models, err := scaleModels()
 	if err != nil {
@@ -599,5 +627,90 @@ func TestReferenceEngineTelemetry(t *testing.T) {
 	// One forward SOCS pass plus the gradient recompute path: 2·nk.
 	if c["litho.kernel_ffts"] != int64(2*nk) {
 		t.Errorf("litho.kernel_ffts = %d, want %d", c["litho.kernel_ffts"], 2*nk)
+	}
+}
+
+// relPeak is max|got − want| over max|want|: the error of an image
+// relative to its peak.
+func relPeak(got, want *grid.Mat) float64 {
+	var peak, worst float64
+	for i, w := range want.Data {
+		peak = max(peak, math.Abs(w))
+		worst = max(worst, math.Abs(got.Data[i]-w))
+	}
+	return worst / peak
+}
+
+// The Nyquist lane is exact: sampling the image on m′ ≥ 2P−1 (Eq. 7) and
+// Fourier-interpolating it back to n reproduces the reference engine's
+// per-kernel n-sized Eq. 3 image, and the m′ adjoint its gradient, to
+// rounding — within 1e-12 of the peak on the BenchScale and harness
+// models, for kept and recomputed amplitudes (harness n = 128 is its own
+// Nyquist grid and runs the batch lane). n = 2048 (harness only)
+// takes tens of seconds on the dense reference and skips under -short.
+func TestNyquistMatchesReference(t *testing.T) {
+	models, err := scaleModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-12
+	rng := rand.New(rand.NewSource(72))
+	for i, mdl := range models {
+		ks := mdl.Nominal
+		sizes := []int{128, 256, 512}
+		if i == 1 && !testing.Short() && !raceEnabled {
+			sizes = append(sizes, 2048)
+		}
+		for _, n := range sizes {
+			mask := randMask(rng, n)
+			dLdI := randMask(rng, n)
+			ref := NewSim(mdl)
+			ref.Engine = EngineReference
+			rf, err := ref.Forward(mask, ks, 0.98, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg, err := ref.Gradient(rf, dLdI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := NewSim(mdl)
+			sim.Workers = 2
+			for _, keep := range []bool{false, true} {
+				f, err := sim.Forward(mask, ks, 0.98, keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := relPeak(f.Intensity, rf.Intensity); e > tol {
+					t.Errorf("P=%d n=%d keep=%v: intensity off the reference by %.2e of peak", ks.P, n, keep, e)
+				}
+				g, err := sim.Gradient(f, dLdI)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := relPeak(g, rg); e > tol {
+					t.Errorf("P=%d n=%d keep=%v: gradient off the reference by %.2e of peak", ks.P, n, keep, e)
+				}
+			}
+		}
+	}
+}
+
+// SOCSGrid picks the smallest power of two ≥ 2P−1 below n under the batch
+// engine — 64 at BenchScale (P = 27), 128 at harness scale (P = 35) — and
+// the working grid otherwise.
+func TestSOCSGrid(t *testing.T) {
+	batch, ref := &Sim{}, &Sim{Engine: EngineReference}
+	for _, c := range []struct{ n, p, want int }{
+		{256, 27, 64}, {64, 27, 64}, {32, 27, 32},
+		{2048, 35, 128}, {128, 35, 128},
+		{128, 13, 32}, {16, 1, 4}, {4, 1, 4},
+	} {
+		if got := batch.SOCSGrid(c.n, c.p); got != c.want {
+			t.Errorf("SOCSGrid(%d, %d) = %d, want %d", c.n, c.p, got, c.want)
+		}
+		if got := ref.SOCSGrid(c.n, c.p); got != c.n {
+			t.Errorf("reference SOCSGrid(%d, %d) = %d, want %d", c.n, c.p, got, c.n)
+		}
 	}
 }

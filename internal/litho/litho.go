@@ -19,14 +19,19 @@
 // contributions — so the result is bit-identical for every worker count,
 // including the serial path.
 //
-// FFT engine (see DESIGN.md, "FFT engine" and "FFT engine v2"): by default
-// the simulator runs the batched engine — all kernel products and pruned
-// inverse transforms of one SOCS call advance through a single cache-blocked
-// pass, with the inverse normalisation and SOCS scale folded into the
-// multiply, the mask spectrum from the two-for-one real-input forward
-// (identical to rounding), and the intensity fold fused into the column
-// transforms. Sim.Engine selects between this default and the dense
-// EngineReference oracle.
+// FFT engine (see DESIGN.md, "FFT engine", "FFT engine v2" and "FFT engine
+// v3: Nyquist small grid"): by default the simulator runs the batched
+// engine — all kernel products and pruned inverse transforms of one SOCS
+// call advance through a single cache-blocked pass, with the inverse
+// normalisation and SOCS scale folded into the multiply, the mask spectrum
+// from the two-for-one real-input forward (identical to rounding), and the
+// intensity fold fused into the column transforms. Every per-kernel
+// transform runs on the Nyquist grid m′ (SOCSGrid: the smallest power of
+// two ≥ 2P−1) whenever m′ is below the working size n: the amplitudes are
+// band-limited to ±P/2, so the intensity's exact samples on m′ (Eq. 7)
+// determine it, and one interpolation gives the n-grid image (Eq. 3); the
+// adjoint likewise runs at m′ on dL/dI's ±(P−1) band. Sim.Engine selects
+// between this default and the dense EngineReference oracle.
 package litho
 
 import (
@@ -51,13 +56,17 @@ type FFTEngine int
 
 const (
 	// EngineBatch (the default) packs the real mask two-for-one
-	// (fft.Plan2.ForwardReal) and runs the whole kernel set through one
+	// (fft.Plan2.ForwardRealBand) and runs the whole kernel set through one
 	// batched multiply + pruned inverse (fft.MulRowsBatch/InverseColumns):
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
 	// fold fused into the column pass. Given the same spectrum it is
 	// bit-identical to dense per-kernel ApplyKernel + InverseNoNorm inverses
-	// folded in ascending k, hence agrees with EngineReference to rounding
-	// (from the forward packing only); see DESIGN.md, "FFT engine v2".
+	// folded in ascending k; see DESIGN.md, "FFT engine v2". Above the
+	// Nyquist grid (SOCSGrid(n, P) < n) that pass runs at m′, not n: Forward
+	// samples the image there (Eq. 7) and Fourier-interpolates it to n, and
+	// Gradient runs its per-kernel adjoint there on dL/dI's band — exact,
+	// and within rounding of EngineReference; see DESIGN.md, "FFT engine
+	// v3: Nyquist small grid".
 	EngineBatch FFTEngine = iota
 	// EngineReference is the dense engine — dense forward transform, dense
 	// per-kernel inverses — retained as the oracle the equivalence tests
@@ -172,12 +181,47 @@ func (s *Sim) kernelWorkers(k int) int {
 // to keep per-kernel amplitudes (cheaper gradients at the cost of memory);
 // otherwise the gradient pass recomputes each amplitude from Spec.
 type Field struct {
-	M         int          // working grid size
-	Spec      *grid.CMat   // unnormalised FFT of the input mask (n×n; under EngineBatch, ForwardEq7 fills only the kernel-band columns)
-	Amps      []*grid.CMat // per-kernel amplitude fields A_k, or nil
+	M int // working grid size
+	// AmpM is the side of the grid the per-kernel amplitudes live on: M,
+	// or the Nyquist grid m′ < M (SOCSGrid) the batch engine samples them
+	// on.
+	AmpM      int
+	Spec      *grid.CMat   // unnormalised FFT of the input mask (n×n; under EngineBatch only the kernel-band columns are filled)
+	Amps      []*grid.CMat // per-kernel amplitude fields A_k on the AmpM grid, or nil
 	Intensity *grid.Mat    // aerial image including the dose factor
 	Dose      float64
 	KS        *optics.KernelSet
+}
+
+// nyquistGrid is the smallest power-of-two grid (at least 4) that holds
+// the ±(P−1) band of an intensity built from P×P kernels without
+// aliasing: m′ ≥ 2P−1. The same bound, m′ ≥ 4h+1 with h = P/2, keeps the
+// ±3h band of an adjoint product dI ⊙ A_k from folding into the ±h band
+// the patch reads.
+func nyquistGrid(p int) int {
+	m := 4
+	for m < 2*p-1 {
+		m *= 2
+	}
+	return m
+}
+
+// SOCSGrid returns the side of the grid on which an n×n Forward with
+// P×P kernels runs its per-kernel transforms and keeps its amplitudes:
+// the Nyquist grid m′ when the batch engine can sample there (m′ < n),
+// n otherwise (and always n under EngineReference).
+func (s *Sim) SOCSGrid(n, p int) int {
+	if m := nyquistGrid(p); s.Engine == EngineBatch && m < n {
+		return m
+	}
+	return n
+}
+
+// socsScale is the Eq. 7 amplitude scale 1/s² of sampling an n-grid
+// simulation on the m = n/s grid (exactly 1 at m = n).
+func socsScale(n, m int) complex128 {
+	sc := n / m
+	return complex(1/float64(sc*sc), 0)
 }
 
 func (s *Sim) checkMask(mask *grid.Mat, p int) error {
@@ -194,21 +238,16 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 }
 
 // maskSpectrum computes the unnormalised FFT of the mask under the active
-// engine: the batch engine packs the real input two-for-one (ForwardReal),
-// the reference runs the dense transform. half ≥ 0 declares that the
-// caller reads only the spectrum columns |fx| ≤ half (ForwardEq7), so the
-// batch engine column-transforms only those (ForwardRealBand, same bits in
-// the band); half < 0 asks for the whole spectrum.
+// engine. The SOCS products read only the spectrum columns |fx| ≤ half
+// (half = P/2), so the batch engine packs the real input two-for-one and
+// column-transforms only those (ForwardRealBand: ForwardReal's bits in the
+// band, zeros elsewhere); the reference runs the dense transform.
 func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, half int) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
 	if s.Engine == EngineBatch {
 		spec := grid.NewCMat(mask.W, mask.H)
-		if half >= 0 {
-			plan.ForwardRealBand(spec, mask, half)
-		} else {
-			plan.ForwardReal(spec, mask)
-		}
+		plan.ForwardRealBand(spec, mask, half)
 		return spec
 	}
 	spec := grid.ComplexFromReal(mask)
@@ -216,37 +255,37 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, half int) *grid.CMat
 	return spec
 }
 
-// accumulateSOCS runs the per-kernel SOCS loop shared by Forward and
-// ForwardEq7: amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity
-// += dose·w_k·|A_k|². The inverse-FFT 1/m² normalisation is folded into
-// the kernel multiply (fft.FoldInverseScale) on both lanes, so each
-// amplitude buffer is touched one fewer time; both lanes fold through the
-// same expression, preserving their equivalence.
+// accumulateSOCS runs the per-kernel SOCS loop of sampleSOCS: amplitude
+// A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity += dose·w_k·|A_k|². The
+// inverse-FFT 1/m² normalisation is folded into the kernel multiply
+// (fft.FoldInverseScale) on both lanes, so each amplitude buffer is
+// touched one fewer time; both lanes fold through the same expression,
+// preserving their equivalence.
 //
 // Lanes: EngineBatch hands the whole kernel set to fft.MulRowsBatch /
 // InverseColumns (batchSOCS). EngineReference, and the layouts the batch
-// declines (P = 1 on m ≤ 2, or no kernels), take the dense lane: kernels
-// advance in chunks of kernelWorkers, each chunk's dense ApplyKernel +
-// InverseNoNorm + |A_k|² contributions run in parallel into pooled
-// buffers, and the chunk folds into f.Intensity on the calling goroutine
-// in ascending k. Live scratch is bounded by the chunk, not by the kernel
-// count, and the reduction order is fixed — the batch fuses the same
-// ascending-k fold into its disjoint column blocks — so every worker count
-// produces the same bits on both lanes, and the batch lane reproduces the
-// dense lane's bits when both are handed the same spectrum.
+// declines (P = 1 on m ≤ 2, or no kernels), take the dense lane: kernels advance in chunks of
+// kernelWorkers, each chunk's dense ApplyKernel + InverseNoNorm + |A_k|²
+// contributions run in parallel into pooled buffers, and the chunk folds
+// into intensity on the calling goroutine in ascending k. Live scratch is
+// bounded by the chunk, not by the kernel count, and the reduction order
+// is fixed — the batch fuses the same ascending-k fold into its disjoint
+// column blocks — so every worker count produces the same bits on both
+// lanes, and the batch lane reproduces the dense lane's bits when both are
+// handed the same spectrum.
 //
 // Telemetry: the batch records one litho.socs span around the row pass and
 // one litho.fft_inverse span around the column pass; the dense lane
 // records one caller-side litho.socs span (per-worker spans would
 // double-count wall time and break the `tracestat -check` phase-coverage bound).
-func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
+func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, intensity *grid.Mat) {
 	ks := f.KS
 	nk := len(ks.Kernels)
 	workers := s.kernelWorkers(nk)
 	folded := fft.FoldInverseScale(scale, m, m)
 	s.Recorder.Add("litho.kernel_ffts", int64(nk))
 
-	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, folded, keepAmps, workers) {
+	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, folded, keepAmps, workers, intensity) {
 		return
 	}
 
@@ -272,7 +311,7 @@ func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, 
 			}
 		})
 		for k := c0; k < c1; k++ {
-			f.Intensity.Add(contribs[k])
+			intensity.Add(contribs[k])
 			s.mscratch.Put(contribs[k])
 		}
 	}
@@ -285,7 +324,7 @@ func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, 
 // intensity fold (litho.fft_inverse span). scale must already carry the
 // folded 1/m² (accumulateSOCS does this). Reports false when the batch
 // layout does not apply so the caller falls back to the dense lane.
-func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int) bool {
+func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int, intensity *grid.Mat) bool {
 	ks := f.KS
 	sp := s.Recorder.StartSpan("litho.socs")
 	// The mask spectrum comes from a real mask, so it is Hermitian (to
@@ -297,10 +336,6 @@ func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale
 		sp.End()
 		return false
 	}
-	weights := make([]float64, len(ks.Kernels))
-	for k := range weights {
-		weights[k] = f.Dose * ks.Weights[k]
-	}
 	var outs []*grid.CMat
 	if keepAmps {
 		for k := range f.Amps {
@@ -310,32 +345,103 @@ func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale
 	}
 	sp.End()
 	spi := s.Recorder.StartSpan("litho.fft_inverse")
-	b.InverseColumns(outs, weights, f.Intensity)
+	b.InverseColumns(outs, f.Dose, ks.Weights, intensity)
 	spi.End()
 	return true
+}
+
+// plans returns the n-point working plan and the m-point SOCS plan (the
+// same plan when m = n).
+func (s *Sim) plans(n, m int) (*fft.Plan2, *fft.Plan2, error) {
+	planN, err := s.Plan(n)
+	if err != nil || m == n {
+		return planN, planN, err
+	}
+	planM, err := s.Plan(m)
+	return planN, planM, err
+}
+
+// sampleSOCS is the SOCS core Forward and ForwardEq7 share: the mask
+// spectrum at n = f.M into f.Spec, then the samples of the exact aerial
+// image on the m = n/s grid of planM (Eq. 7: each kernel product truncated
+// to m with scale 1/s², its inverse at m) folded into intensity, which
+// must be m×m and zeroed. Kept amplitudes live on the m grid.
+func (s *Sim) sampleSOCS(f *Field, mask *grid.Mat, planN, planM *fft.Plan2, keepAmps bool, intensity *grid.Mat) {
+	n, m := planN.W(), planM.W()
+	// The kernel products read only the P×P band of the mask spectrum.
+	f.Spec = s.maskSpectrum(planN, mask, f.KS.P/2)
+	if keepAmps {
+		f.Amps = make([]*grid.CMat, len(f.KS.Kernels))
+	}
+	s.accumulateSOCS(f, planM, f.Spec, m, socsScale(n, m), keepAmps, intensity)
+}
+
+// resampleBand writes into dst the ±half band of the real image src,
+// resampled onto dst's grid: the forward transform of src at its size
+// (only the band columns when src is the large grid), the band copied with
+// src's 1/size² normalisation (fft.CopyBand) and the band inverse at dst's
+// size; dst receives the real part. From a
+// small grid to a large one this Fourier-interpolates samples of an image
+// band-limited to ±half — exactly, when the small grid exceeds 2·half+1;
+// from a large grid to a small one it samples the ±half band of src.
+// Scratch comes from the pools; the transforms themselves fan out over
+// the plans' workers and are bit-identical for every worker count.
+func (s *Sim) resampleBand(dst, src *grid.Mat, from, to *fft.Plan2, half int) {
+	sn, dn := src.W, dst.W
+	spec := s.cscratch.Get(sn, sn)
+	if sn < dn {
+		// The small grid is mostly band: its whole transform costs about
+		// the same and runs without fan-out.
+		from.ForwardReal(spec, src)
+	} else {
+		from.ForwardRealBand(spec, src, half)
+	}
+	band := s.cscratch.Get(dn, dn)
+	fft.CopyBand(band, spec, half, complex(1/float64(sn*sn), 0))
+	s.cscratch.Put(spec)
+	img := s.cscratch.Get(dn, dn)
+	to.InverseBandNoNorm(img, band, fft.BandSpec{Half: half})
+	s.cscratch.Put(band)
+	img.RealInto(dst)
+	s.cscratch.Put(img)
 }
 
 // Forward runs the exact SOCS simulation (Eq. 3) of the mask at its own
 // resolution: I = dose · Σ_k w_k |F⁻¹(H_k ⊙ F(M))|². With a mask already
 // downsampled by the caller this is exactly Eq. (8) of the paper — the
 // approximation the low-resolution ILT optimises against. Set keepAmps when
-// a gradient pass will follow and memory allows (24 complex fields).
+// a gradient pass will follow and memory allows (24 complex fields on the
+// SOCSGrid).
+//
+// Under EngineBatch with a Nyquist grid m′ = SOCSGrid(n, P) < n, Forward is
+// Eq. 7 followed by interpolation: every amplitude is band-limited to ±h
+// (h = P/2), so the intensity is band-limited to ±2h and its exact samples
+// on m′ ≥ 4h+1 (sampleSOCS) determine it. One forward transform at m′,
+// the ±2h band scaled by 1/m′², and one band inverse at n (resampleBand,
+// inside a litho.fft_inverse span) give the n-grid image, equal to the
+// per-kernel n-sized pipeline to rounding.
 func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAmps bool) (*Field, error) {
 	if err := s.checkMask(mask, ks.P); err != nil {
 		return nil, err
 	}
-	m := mask.W
-	plan, err := s.Plan(m)
+	n := mask.W
+	m := s.SOCSGrid(n, ks.P)
+	planN, planM, err := s.plans(n, m)
 	if err != nil {
 		return nil, err
 	}
-	spec := s.maskSpectrum(plan, mask, -1)
-
-	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
-	if keepAmps {
-		f.Amps = make([]*grid.CMat, len(ks.Kernels))
+	f := &Field{M: n, AmpM: m, Dose: dose, KS: ks, Intensity: grid.NewMat(n, n)}
+	if m == n {
+		s.sampleSOCS(f, mask, planN, planM, keepAmps, f.Intensity)
+	} else {
+		samples := s.mscratch.Get(m, m)
+		samples.Zero()
+		s.sampleSOCS(f, mask, planN, planM, keepAmps, samples)
+		sp := s.Recorder.StartSpan("litho.fft_inverse")
+		s.resampleBand(f.Intensity, samples, planM, planN, 2*(ks.P/2))
+		sp.End()
+		s.mscratch.Put(samples)
 	}
-	s.accumulateSOCS(f, plan, spec, m, 1, keepAmps)
 	s.Recorder.Add("litho.forward_sims", 1)
 	return f, nil
 }
@@ -363,20 +469,13 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 	if m&(m-1) != 0 {
 		return nil, fmt.Errorf("litho: reduced size %d is not a power of two", m)
 	}
-	planN, err := s.Plan(n)
+	planN, planM, err := s.plans(n, m)
 	if err != nil {
 		return nil, err
 	}
-	planM, err := s.Plan(m)
-	if err != nil {
-		return nil, err
-	}
-	// Eq. 7 multiplies only the P×P kernel band of the full-size spectrum.
-	spec := s.maskSpectrum(planN, mask, ks.P/2)
-
-	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
-	sc := complex(1/float64(scale*scale), 0)
-	s.accumulateSOCS(f, planM, spec, m, sc, false)
+	f := &Field{M: n, AmpM: m, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
+	s.sampleSOCS(f, mask, planN, planM, false, f.Intensity)
+	f.M = m
 	s.Recorder.Add("litho.eq7_sims", 1)
 	return f, nil
 }
@@ -388,18 +487,17 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
 // the retained mask spectrum. Each kernel contributes a dense P×P
-// frequency patch; the patches are folded into the frequency-domain
-// accumulator in ascending k, so only one final inverse FFT is needed and
-// the result is bit-identical for every worker count.
+// frequency patch (adjoint); the patches are folded into the
+// frequency-domain accumulator in ascending k, so only one final inverse
+// FFT is needed and the result is bit-identical for every worker count.
 //
-// Lanes: EngineBatch computes the patches with fft.AdjointPatches
-// (batchAdjoint), which runs only the band-column transforms the patch
-// reads; EngineReference, and the layouts the batch declines, run the
-// dense per-kernel Forward + KernelAdjointPatch (adjointPatch). Both lanes
-// produce the same patch bits from the same amplitudes.
+// On a field whose amplitudes live on a Nyquist grid m′ < M, the patches
+// are computed at m′: the ±h band of F(dLdI ⊙ A_k) reads only the ±2h band
+// of dLdI, and at m′ ≥ 4h+1 the product's ±3h band cannot alias into ±h.
+// So dLdI's ±2h band is resampled onto m′ first (resampleBand, inside the
+// litho.adjoint span), and patchScale over m′ carries the (M/m′)² factor.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
-		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
 		return nil, fmt.Errorf("litho: dLdI size %dx%d != field size %d", dLdI.W, dLdI.H, f.M)
 	}
 	if f.Amps == nil && (f.Spec.W != f.M || f.Spec.H != f.M) {
@@ -407,34 +505,59 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		// is not implemented (the optimizer only differentiates Forward).
 		return nil, fmt.Errorf("litho: gradient of a truncated (Eq. 7) field is not supported")
 	}
-	plan, err := s.Plan(f.M)
+	m := f.AmpM
+	plan, planM, err := s.plans(f.M, m)
 	if err != nil {
 		return nil, err
 	}
 	sp := s.Recorder.StartSpan("litho.adjoint")
 	defer sp.End()
 	s.Recorder.Add("litho.adjoint_calls", 1)
+	out := grid.NewMat(f.M, f.M)
+	if m == f.M {
+		s.adjoint(out, f, plan, planM, dLdI)
+		return out, nil
+	}
+	dI := s.mscratch.Get(m, m)
+	s.resampleBand(dI, dLdI, plan, planM, 2*(f.KS.P/2))
+	s.adjoint(out, f, plan, planM, dI)
+	s.mscratch.Put(dI)
+	return out, nil
+}
+
+// adjoint is the per-kernel body of Gradient: the P×P patch of every
+// kernel from dI (on the m-point amplitude grid of planM) and the
+// amplitudes, their ascending-k fold into the band of an M-point
+// accumulator, and its one inverse on plan, whose real part lands in out.
+//
+// Lanes: EngineBatch computes the patches with fft.AdjointPatches
+// (batchAdjoint), which runs only the band-column transforms the patch
+// reads; EngineReference, and the layouts the batch declines, run the
+// dense per-kernel Forward + KernelAdjointPatch (adjointPatch). Both lanes
+// produce the same patch bits from the same amplitudes.
+func (s *Sim) adjoint(out *grid.Mat, f *Field, plan, planM *fft.Plan2, dI *grid.Mat) {
+	m := dI.W
 	nk := len(f.KS.Kernels)
 	p := f.KS.P
 	workers := s.kernelWorkers(nk)
 	// The amplitude recompute (fields without kept amps) folds the inverse
 	// normalisation into the kernel multiply, like the forward pass; the
 	// adjoint patch weight likewise absorbs the final inverse's 1/m².
-	ampScale := fft.FoldInverseScale(1, f.M, f.M)
+	ampScale := fft.FoldInverseScale(socsScale(f.M, m), m, m)
 	if f.Amps == nil {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	}
 	patchesp, patches := s.kscratch.Get(nk)
-	if s.Engine != EngineBatch || !s.batchAdjoint(f, plan, dLdI, patches, ampScale, workers) {
+	if s.Engine != EngineBatch || !s.batchAdjoint(f, planM, dI, patches, ampScale, workers) {
 		grid.ParallelFor(workers, nk, func(k int) {
 			var amp *grid.CMat
 			if f.Amps != nil {
 				amp = f.Amps[k]
 			} else {
-				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
-				plan.InverseNoNorm(amp)
+				amp = fft.ApplyKernel(s.cscratch.Get(m, m), f.Spec, f.KS.Kernels[k], m, ampScale)
+				planM.InverseNoNorm(amp)
 			}
-			patches[k] = s.adjointPatch(f, plan, amp, dLdI, k)
+			patches[k] = s.adjointPatch(f, planM, amp, dI, k)
 			if f.Amps == nil {
 				s.cscratch.Put(amp)
 			}
@@ -456,68 +579,71 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		s.cscratch.Put(patch)
 	}
 	s.kscratch.Put(patchesp)
-	var out *grid.Mat
 	if useBand {
 		img := s.cscratch.Get(f.M, f.M)
 		plan.InverseBandNoNorm(img, acc, accBand)
-		out = img.Real()
+		img.RealInto(out)
 		s.cscratch.Put(img)
 	} else {
 		plan.InverseNoNorm(acc)
-		out = acc.Real()
+		acc.RealInto(out)
 	}
 	s.cscratch.Put(acc)
-	return out, nil
 }
 
-// patchScale is kernel k's adjoint patch weight 2·w_k·dose with the final
-// inverse's 1/m² folded in — shared by both lanes so their patches agree
-// bit-for-bit.
-func patchScale(f *Field, k int) complex128 {
-	return fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
+// patchScale is kernel k's adjoint patch weight 2·w_k·dose with the
+// 1/m² of the amplitude grid m folded in — shared by both lanes so their
+// patches agree bit-for-bit. At m = M it is the final inverse's 1/M²; at a
+// Nyquist grid m′ < M it also carries the (M/m′)² that turns an m′-point
+// transform of the product's samples into the M-point one.
+func patchScale(f *Field, k, m int) complex128 {
+	return fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), m, m)
 }
 
-// adjointPatch is the dense lane's per-kernel adjoint contribution:
-// B_k = dLdI ⊙ A_k, its full forward transform, and the P×P frequency
-// patch weighted by patchScale.
-func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
-	prod := s.cscratch.Get(f.M, f.M)
+// adjointPatch is the dense lane's per-kernel adjoint contribution on the
+// amplitude grid: B_k = dI ⊙ A_k, its full forward transform, and the P×P
+// frequency patch weighted by patchScale.
+func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dI *grid.Mat, k int) *grid.CMat {
+	m := amp.W
+	prod := s.cscratch.Get(m, m)
 	for i, v := range amp.Data {
-		prod.Data[i] = v * complex(dLdI.Data[i], 0)
+		prod.Data[i] = v * complex(dI.Data[i], 0)
 	}
 	plan.Forward(prod)
-	patch := fft.KernelAdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], patchScale(f, k))
+	patch := fft.KernelAdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], patchScale(f, k, m))
 	s.cscratch.Put(prod)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose: Gradient owns it for the duration of the fold loop and Puts every entry of patches right after AddKernelPatch
 	return patch
 }
 
-// batchAdjoint is the EngineBatch lane of Gradient: fft.AdjointPatches
-// turns amplitudes into patches with only the band-column transforms the
-// patch reads. Kept amplitudes go through it in one call; otherwise the
-// amplitudes are regenerated through MulRowsBatch/InverseColumns in chunks
-// (bounding the live amplitude memory to ~chunk·m² complex values instead
-// of nk·m²) and each chunk goes through the same call. The batch
-// reproduces the dense lane's amplitude bits and AdjointPatches its patch
-// bits, so both paths match the dense lane exactly. Reports false, with
-// patches left nil, when the batch layout does not apply.
-func (s *Sim) batchAdjoint(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
+// batchAdjoint is the EngineBatch lane of Gradient on the m-point
+// amplitude grid: fft.AdjointPatches turns amplitudes into patches with
+// only the band-column transforms the patch reads. Kept amplitudes go
+// through it in one call; otherwise the amplitudes are regenerated through
+// MulRowsBatch/InverseColumns in chunks (bounding the live amplitude
+// memory to ~chunk·m² complex values instead of nk·m²) and each chunk goes
+// through the same call. The batch reproduces the dense lane's amplitude
+// bits and AdjointPatches its patch bits, so both paths match the dense
+// lane exactly. Reports false, with patches left nil, when the batch
+// layout does not apply.
+func (s *Sim) batchAdjoint(f *Field, plan *fft.Plan2, dI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
 	ks := f.KS
 	nk := len(ks.Kernels)
+	m := dI.W
 	// Per-kernel patch weights, leased as one pooled 1×nk complex row.
 	scales := s.cscratch.Get(nk, 1)
 	for k := range patches {
 		patches[k] = s.cscratch.Get(ks.P, ks.P)
-		scales.Data[k] = patchScale(f, k)
+		scales.Data[k] = patchScale(f, k, m)
 	}
 	ok := true
 	if f.Amps != nil {
-		ok = plan.AdjointPatches(patches, f.Amps, dLdI, ks.Kernels, scales.Data, workers)
+		ok = plan.AdjointPatches(patches, f.Amps, dI, ks.Kernels, scales.Data, workers)
 	} else {
 		chunk := min(max(workers, 4), nk)
 		ampsp, amps := s.kscratch.Get(chunk)
 		for i := range amps {
-			amps[i] = s.cscratch.Get(f.M, f.M)
+			amps[i] = s.cscratch.Get(m, m)
 		}
 		for c0 := 0; ok && c0 < nk; c0 += chunk {
 			c1 := min(c0+chunk, nk)
@@ -526,8 +652,8 @@ func (s *Sim) batchAdjoint(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []
 				ok = false // layout constraint: fails on the first chunk or never
 				break
 			}
-			b.InverseColumns(amps[:c1-c0], nil, nil)
-			ok = plan.AdjointPatches(patches[c0:c1], amps[:c1-c0], dLdI, ks.Kernels[c0:c1], scales.Data[c0:c1], workers)
+			b.InverseColumns(amps[:c1-c0], 0, nil, nil)
+			ok = plan.AdjointPatches(patches[c0:c1], amps[:c1-c0], dI, ks.Kernels[c0:c1], scales.Data[c0:c1], workers)
 		}
 		for i := range amps {
 			s.cscratch.Put(amps[i])

@@ -191,73 +191,78 @@ func TestForwardEq7Validation(t *testing.T) {
 }
 
 // TestGradientFiniteDifference validates the full adjoint against central
-// finite differences of L = Σ c·I for random c.
+// finite differences of L = Σ c·I for random c — at n = 32, where the
+// amplitudes live on the working grid, and at n = 64, where they live on
+// the Nyquist grid m′ = 32.
 func TestGradientFiniteDifference(t *testing.T) {
 	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(4))
-	const n = 32
-	mask := randMask(rng, n)
-	c := randMask(rng, n) // dL/dI
+	for _, n := range []int{32, 64} {
+		mask := randMask(rng, n)
+		c := randMask(rng, n) // dL/dI
 
-	f, err := sim.Forward(mask, sim.Model.Nominal, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sim.Gradient(f, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	loss := func(m *grid.Mat) float64 {
-		ff, err := sim.Forward(m, sim.Model.Nominal, 1, false)
+		f, err := sim.Forward(mask, sim.Model.Nominal, 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ff.Intensity.Dot(c)
-	}
-	const eps = 1e-5
-	for trial := 0; trial < 6; trial++ {
-		x, y := rng.Intn(n), rng.Intn(n)
-		orig := mask.At(x, y)
-		mask.Set(x, y, orig+eps)
-		lp := loss(mask)
-		mask.Set(x, y, orig-eps)
-		lm := loss(mask)
-		mask.Set(x, y, orig)
-		fd := (lp - lm) / (2 * eps)
-		if diff := math.Abs(fd - g.At(x, y)); diff > 1e-5*(1+math.Abs(fd)) {
-			t.Errorf("gradient at (%d,%d): analytic %g, finite-diff %g", x, y, g.At(x, y), fd)
+		g, err := sim.Gradient(f, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		loss := func(m *grid.Mat) float64 {
+			ff, err := sim.Forward(m, sim.Model.Nominal, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ff.Intensity.Dot(c)
+		}
+		const eps = 1e-5
+		for trial := 0; trial < 6; trial++ {
+			x, y := rng.Intn(n), rng.Intn(n)
+			orig := mask.At(x, y)
+			mask.Set(x, y, orig+eps)
+			lp := loss(mask)
+			mask.Set(x, y, orig-eps)
+			lm := loss(mask)
+			mask.Set(x, y, orig)
+			fd := (lp - lm) / (2 * eps)
+			if diff := math.Abs(fd - g.At(x, y)); diff > 1e-5*(1+math.Abs(fd)) {
+				t.Errorf("n=%d: gradient at (%d,%d): analytic %g, finite-diff %g", n, x, y, g.At(x, y), fd)
+			}
 		}
 	}
 }
 
 // TestGradientKeepAmpsEquivalence: the memory-saving recompute path must
-// produce the same gradient as the cached-amplitude path.
+// produce the same gradient bits as the cached-amplitude path, with the
+// amplitudes on the working grid (n = 32) and on the Nyquist grid (n = 64).
 func TestGradientKeepAmpsEquivalence(t *testing.T) {
 	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(5))
-	const n = 32
-	mask := randMask(rng, n)
-	dLdI := randMask(rng, n)
+	for _, n := range []int{32, 64} {
+		mask := randMask(rng, n)
+		dLdI := randMask(rng, n)
 
-	fKeep, err := sim.Forward(mask, sim.Model.Nominal, 0.98, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gKeep, err := sim.Gradient(fKeep, dLdI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fRe, err := sim.Forward(mask, sim.Model.Nominal, 0.98, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gRe, err := sim.Gradient(fRe, dLdI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gKeep.Equal(gRe, 1e-10) {
-		t.Error("gradient differs between keepAmps and recompute paths")
+		fKeep, err := sim.Forward(mask, sim.Model.Nominal, 0.98, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gKeep, err := sim.Gradient(fKeep, dLdI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fRe, err := sim.Forward(mask, sim.Model.Nominal, 0.98, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gRe, err := sim.Gradient(fRe, dLdI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gKeep.Equal(gRe, 0) {
+			t.Errorf("n=%d: gradient differs between keepAmps and recompute paths", n)
+		}
 	}
 }
 

@@ -151,3 +151,57 @@ func TestDivergingJobFailsAlone(t *testing.T) {
 		t.Errorf("job after the divergence: mask %v, want %s (fresh run)", st.Result, want)
 	}
 }
+
+// A job whose gradient turns NaN on the last iteration of its last stage
+// (the loss still finite, so nothing after it would notice) fails loudly
+// and alone with a gradient DivergenceError, and the next job on the same
+// daemon succeeds with a mask bit-identical to a fresh run.
+func TestGradientDivergingJobFailsAlone(t *testing.T) {
+	want := goldenSHA(t)
+
+	s, base := newTestServer(t, server.Config{Executors: 1})
+	var armed atomic.Bool
+	armed.Store(true)
+	server.SetFaultHook(s, func(o *core.Options) {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
+		// smallJob's last stage is {scale 2, iters 2}: poison its second
+		// and last gradient.
+		calls := 0
+		o.GradHook = func(g *grid.Mat, st core.Stage) {
+			if st.Scale != 2 {
+				return
+			}
+			if calls++; calls == 2 {
+				g.Data[0] = math.Inf(1)
+			}
+		}
+	})
+
+	code, bad, _ := submit(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	st := waitState(t, base, bad, "failed", 2*time.Minute)
+	reason := "core: stage 1: " + (&core.DivergenceError{Stage: 1, Iter: 1, Scale: 2, Gradient: true}).Error()
+	if st.Error != reason {
+		t.Errorf("failed job reason = %q, want %q", st.Error, reason)
+	}
+	var sawDiverged bool
+	for _, f := range streamSSE(t, base, bad) {
+		sawDiverged = sawDiverged || f.Event == "stage.diverged"
+	}
+	if !sawDiverged {
+		t.Error("event log has no stage.diverged event")
+	}
+
+	code, next, _ := submit(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after divergence: HTTP %d", code)
+	}
+	st = waitState(t, base, next, "done", 2*time.Minute)
+	if st.Result == nil || st.Result.MaskSHA256 != want {
+		t.Errorf("job after the divergence: mask %v, want %s (fresh run)", st.Result, want)
+	}
+}
